@@ -15,7 +15,7 @@ set the policy scored (posted via ``EpochContext.obs``).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class EpochDriver:
         fs = self.fs
         env = fs.env
         audit = fs.obs.audit
-        elastic = getattr(fs, "elastic", None)
+        elastic = fs.elastic
         liveness = fs.liveness if elastic is not None else None
         m_epochs = fs.obs.registry.counter("epochs_total", "epoch boundaries crossed")
         while True:
@@ -91,10 +91,11 @@ class EpochDriver:
                 oracle_window=fs.upcoming(self.oracle_window_ops),
                 completed_window=completed,
                 obs=fs.obs,
+                # healthy fixed pools pass None: every member serves
                 mds_up=(
-                    liveness.serving_mask()
-                    if liveness is not None
-                    else fs.faults.up_mask() if fs.faults is not None else None
+                    fs.liveness.serving_mask()
+                    if fs.faults is not None or elastic is not None
+                    else None
                 ),
                 liveness=liveness,
             )

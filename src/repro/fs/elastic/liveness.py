@@ -1,22 +1,21 @@
 """The single per-MDS liveness view shared by faults and elasticity.
 
-Before this module the only cluster-membership signal was the fault
-injector's boolean ``up_mask()`` — enough for *involuntary* departure
-(crashes), but voluntary elasticity needs more states: a provisioning MDS
-is **warming** (serving slowly, a valid migration destination), a departing
-one is **draining** (still serving, never a destination), and a parked or
-removed one is **gone** (not a pool member at all).  :class:`MDSLiveness`
-folds both signals into one view:
+Crashes are *involuntary* departures; voluntary elasticity needs more
+states: a provisioning MDS is **warming** (serving slowly, a valid
+migration destination), a departing one is **draining** (still serving,
+never a destination), and a parked or removed one is **gone** (not a pool
+member at all).  :class:`MDSLiveness` folds both signals into one view:
 
 * involuntary state (crashed / restarted) stays authoritative on
   ``MdsServer.up`` — the fault injector keeps flipping it;
 * voluntary state (warming / draining / gone) lives in this class's state
   array — the elastic pool controller drives it.
 
-``FaultInjector.up_mask()`` is now a deprecation shim over
-:meth:`serving_mask`; with no elastic pool every member is ``UP`` and the
-combined view degenerates to exactly the old ``[s.up for s in servers]``
-boolean mask, bit for bit.
+Every :class:`~repro.fs.filesystem.OrigamiFS` owns one, and it is the only
+source of ``EpochContext.mds_up``: the epoch driver passes
+:meth:`serving_mask` when a fault injector or an elastic pool is attached,
+and None on a healthy fixed pool.  With no elastic pool every member is
+``UP`` and the mask is exactly the servers' crash flags.
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ class MDSLiveness:
         """Members currently able to serve requests: not crashed, not gone.
 
         Warming and draining MDSs serve (slowly / while evacuating); this is
-        the mask ``EpochContext.mds_up`` carries and the old ``up_mask()``
-        shim returns.
+        the mask ``EpochContext.mds_up`` carries.
         """
         return self.up_array() & (self._state != GONE)
 

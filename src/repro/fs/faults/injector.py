@@ -23,9 +23,7 @@ with an empty schedule is bit-identical to a run with no schedule at all
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
-
-import numpy as np
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.fs.faults.errors import (
     FaultError,
@@ -43,6 +41,8 @@ class FaultInjector:
     """Installs a fault schedule on an :class:`~repro.fs.filesystem.OrigamiFS`."""
 
     def __init__(self, fs, schedule: FaultSchedule):
+        if fs.faults is not None:
+            raise RuntimeError("fs already has a fault injector installed")
         schedule.validate(len(fs.servers))
         self.fs = fs
         self.schedule = schedule
@@ -87,12 +87,6 @@ class FaultInjector:
         for server in fs.servers:
             server.attach_faults(self)
         fs.faults = self
-        # an injector installed after construction (the legacy
-        # SlowdownInjector shim) must void the fast path: engagement was
-        # decided while fs.faults was still None, and the inlined replay
-        # loop never consults the injector.  Clients dispatch on this flag
-        # at run() time, so clearing it here is sufficient.
-        fs.fastpath_engaged = False
         self.control_procs: List = []
         edges = schedule.crash_edges()
         if edges:
@@ -167,27 +161,19 @@ class FaultInjector:
                 f = max(f, window[1])
         return f
 
-    def up_mask(self) -> np.ndarray:
-        """Boolean per-MDS liveness (the balancers' degraded-mode input).
-
-        Deprecation shim: membership is now owned by the filesystem's
-        :class:`~repro.fs.elastic.liveness.MDSLiveness` view, which folds
-        this injector's crash flags together with voluntary elastic states
-        (warming/draining/gone).  Prefer ``fs.liveness.serving_mask()``.
-        With no elastic pool the two are identical, bit for bit.
-        """
-        liveness = getattr(self.fs, "liveness", None)
-        if liveness is not None:
-            return liveness.serving_mask()
-        return np.array([s.up for s in self.fs.servers], dtype=bool)
-
     def count_service_abort(self) -> None:
         self.aborted_in_service += 1
         self._m_aborted.inc()
 
     # ------------------------------------------------------ client-side gate
-    def rpc_gate(self, mds: int, span=None) -> Generator:
-        """Model the network leg of one RPC to ``mds``; raises typed faults.
+    def rpc_gate(self, mds: int, span=None) -> Optional[Tuple[float, Optional[FaultError]]]:
+        """Model the network leg of one RPC to ``mds``.
+
+        Returns None when the RPC goes through unimpeded, else
+        ``(wait_ms, error)``: the client waits ``wait_ms`` of virtual time,
+        then raises ``error`` — None for an injected delay, which only slows
+        the RPC.  A plain function rather than a generator, so the client
+        loop keeps one frame per engine resume.
 
         All fault-attributable waiting (timeout waits, refused-connection
         round trips, injected delays) is charged to ``span.fault_wait_ms`` so
@@ -195,39 +181,33 @@ class FaultInjector:
         keeps holding under faults.
         """
         fs = self.fs
-        env = fs.env
-        now = env.now
+        now = fs.env.now
         sched = self.schedule
         if sched.partitioned(mds, now):
             wait = self.retry.rpc_timeout_ms
             self.rpc_timeouts += 1
             self._m_timeouts.inc()
-            if span is not None:
-                span.fault_wait_ms += wait
-            yield env.timeout(wait)
-            raise RpcTimeoutError(mds, "partitioned")
-        if not fs.servers[mds].up:
+            error = RpcTimeoutError(mds, "partitioned")
+        elif not fs.servers[mds].up:
             wait = fs.network_rtt()  # connection refused costs one round trip
             self.connection_refusals += 1
             self._m_refused.inc()
-            if span is not None:
-                span.fault_wait_ms += wait
-            yield env.timeout(wait)
-            raise MdsUnavailableError(mds)
-        p = sched.drop_probability(mds, now)
-        if p > 0.0 and float(self._drop_rng.random()) < p:
-            wait = self.retry.rpc_timeout_ms
-            self.rpc_drops += 1
-            self._m_drops.inc()
-            if span is not None:
-                span.fault_wait_ms += wait
-            yield env.timeout(wait)
-            raise RpcDroppedError(mds)
-        extra = sched.extra_delay_ms(mds, now)
-        if extra > 0.0:
-            if span is not None:
-                span.fault_wait_ms += extra
-            yield env.timeout(extra)
+            error = MdsUnavailableError(mds)
+        else:
+            p = sched.drop_probability(mds, now)
+            if p > 0.0 and float(self._drop_rng.random()) < p:
+                wait = self.retry.rpc_timeout_ms
+                self.rpc_drops += 1
+                self._m_drops.inc()
+                error = RpcDroppedError(mds)
+            else:
+                wait = sched.extra_delay_ms(mds, now)
+                if wait <= 0.0:
+                    return None
+                error = None
+        if span is not None:
+            span.fault_wait_ms += wait
+        return wait, error
 
     # --------------------------------------------------------- retry support
     def backoff_ms(self, attempt: int) -> float:

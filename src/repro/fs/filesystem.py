@@ -19,15 +19,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.balancers.base import BalancePolicy
 from repro.costmodel.optypes import OpType
 from repro.fs.elastic.controller import MDSPoolController
 from repro.fs.elastic.liveness import MDSLiveness
 from repro.costmodel.params import CostParams
 from repro.fs.cache import LeaseCache, NearRootCache
-from repro.fs.client import ClientWorker
+from repro.fs.client import ClientWorker, run_state
 from repro.fs.datapath import DataCluster
 from repro.fs.driver import EpochDriver
 from repro.fs.faults.injector import FaultInjector
@@ -39,7 +37,6 @@ from repro.namespace.stats import AccessStats
 from repro.namespace.tree import NamespaceTree
 from repro.obs import NULL_OBS, Observability
 from repro.sim import DurabilityCostModel, Environment, SeedSequenceFactory
-from repro.sim import fastpath
 from repro.workloads.trace import Trace
 
 __all__ = ["SimConfig", "OrigamiFS", "run_simulation"]
@@ -89,11 +86,6 @@ class SimConfig:
     #: ``n_mds`` is the *initial* pool size and the cluster is provisioned
     #: at ``autoscale.max_mds`` capacity with the surplus parked
     autoscale: Optional[object] = None
-    #: vectorized replay fast path (repro.sim.fastpath): True/False force
-    #: it on/off, None defers to the REPRO_FASTPATH env var (default on).
-    #: Either way it only engages on configurations it reproduces
-    #: bit-identically — see fastpath.engaged for the eligibility list
-    fastpath: Optional[bool] = None
 
     def __post_init__(self):
         if self.n_mds < 1 or self.n_clients < 1:
@@ -240,13 +232,13 @@ class OrigamiFS:
         #: per-op client think time (offered-load shaping); None — the
         #: overwhelmingly common case — keeps the client loop unchanged
         self._think = trace.think_ms.tolist() if trace.think_ms is not None else None
-        #: constant RTT when jitter is off (the default) — no RNG either way
-        self._rtt_const = self.params.rtt if self.config.rtt_jitter == 0 else None
-        #: memoised client plans, keyed (dir_ino, lsdir?); flushed whenever
-        #: the stamp (pmap.dir_version, tree.version) moves — see
-        #: ClientWorker._plan for the exact validity argument
-        self._plan_cache: Dict[tuple, tuple] = {}
-        self._plan_cache_stamp = (-1, -1)
+        #: compiled client plans keyed ``dir_ino << 1 | lsdir?``, shared by
+        #: every worker and flushed whenever the stamp (pmap.dir_version,
+        #: tree.version) moves — see ClientWorker._plan for the validity
+        #: argument
+        self._plan_cache: Dict[int, tuple] = {}
+        self._plan_dv = -1
+        self._plan_tv = -1
 
         self.cursor = 0
         self.replay_done = len(trace) == 0
@@ -281,12 +273,6 @@ class OrigamiFS:
         if autoscale is not None:
             self.elastic = MDSPoolController(self, autoscale)
 
-        #: decided once everything the eligibility check inspects is built;
-        #: clients dispatch on this flag (see repro.sim.fastpath)
-        self.fastpath_engaged = fastpath.engaged(self)
-        if self.fastpath_engaged:
-            fastpath.prepare(self)
-
         # bind the timeline last: the clock has already warped (restores) and
         # the setup-population WAL activity is behind the snapshot baseline,
         # so window deltas cover exactly the run itself
@@ -303,14 +289,6 @@ class OrigamiFS:
             store = self.servers[o]
             for name, child in tree.children(d).items():
                 store.kv_put(b"%020d/%s" % (d, name.encode()), b"inode")
-
-    def next_op_index(self) -> Optional[int]:
-        if self.cursor >= len(self.trace):
-            self.replay_done = True
-            return None
-        i = self.cursor
-        self.cursor += 1
-        return i
 
     def upcoming(self, n: int) -> Trace:
         """The next ``n`` not-yet-issued operations (oracle's view)."""
@@ -333,6 +311,9 @@ class OrigamiFS:
     # ------------------------------------------------------------------ run
     def run(self) -> SimResult:
         driver = EpochDriver(self, self.policy, self.config.oracle_window_ops)
+        # bound now, not at construction: a fault injector or method wrappers
+        # installed in between must see every call
+        self._client_shared = run_state(self)
         clients = [
             self.env.process(ClientWorker(self, w).run())
             for w in range(self.config.n_clients)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.fs.faults.errors import MdsCrashedError, MdsUnavailableError
 from repro.kvstore import LSMStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -155,11 +153,6 @@ class MdsServer:
         self.total_rpcs += n
         self._m_rpcs.inc(n)
 
-    def count_request(self) -> None:
-        self.epoch_qps += 1
-        self.total_requests += 1
-        self._m_requests.inc()
-
     def service(self, duration_ms: float, span=None) -> Generator:
         """Queue for the server thread, hold it for ``duration_ms``.
 
@@ -172,19 +165,14 @@ class MdsServer:
         latter is how a crashed server's queue drains) and :class:`~repro.fs.
         faults.errors.MdsCrashedError` when a crash lands mid-service; the
         lost hold time is charged to ``span.fault_wait_ms``, not busy time.
+
+        The client loop inlines this hold for its RPC legs; both sides share
+        :meth:`admit`, :meth:`granted` and :meth:`survived`, so they differ
+        only in the yields and the busy-time accounting spelled out here.
         """
         faults = self._faults
         env = self.env
-        if faults is not None:
-            if not self.up:
-                raise MdsUnavailableError(self.mds_id)
-            # degradation (slowdown window or restart warm-up) applies at the
-            # moment the request enters service, as in the legacy injector
-            duration_ms *= faults.service_factor(self.mds_id, env._now)
-        if self.warm_until > env._now:
-            # cold caches on a freshly provisioned elastic member: same
-            # degradation shape as the fault schedule's restart warm-up
-            duration_ms *= self.warm_factor
+        duration_ms = self.admit(duration_ms)
         resource = self.resource
         req = resource.request()
         try:  # try/finally, not `with`: skips the __enter__/__exit__ calls
@@ -195,18 +183,11 @@ class MdsServer:
             else:
                 yield req
             if faults is not None:
-                if not self.up:
-                    raise MdsUnavailableError(self.mds_id)
-                incarnation = self.incarnation
+                incarnation = self.granted()
             if duration_ms > 0:
                 yield Timeout(env, duration_ms)
-            if faults is not None and (not self.up or self.incarnation != incarnation):
-                # the work is lost: the client paid the hold but the server
-                # crashed under it — no busy time, a typed abort instead
-                faults.count_service_abort()
-                if span is not None:
-                    span.fault_wait_ms += duration_ms
-                raise MdsCrashedError(self.mds_id)
+            if faults is not None:
+                self.survived(incarnation, duration_ms, span)
             if span is not None:
                 span.service_ms += duration_ms
             self.epoch_busy_ms += duration_ms
@@ -214,6 +195,44 @@ class MdsServer:
             self._m_busy.inc(duration_ms)
         finally:
             resource.release(req)
+
+    def admit(self, duration_ms: float) -> float:
+        """Entry check of a hold: the hold time after degradation.
+
+        Raises :class:`MdsUnavailableError` when the server is down.  Only
+        a fault injector or an elastic warm-up can change the result, so
+        runs with neither may skip the call."""
+        env = self.env
+        if self._faults is not None:
+            if not self.up:
+                raise MdsUnavailableError(self.mds_id)
+            # degradation (slowdown window or restart warm-up) applies at the
+            # moment the request enters service
+            duration_ms *= self._faults.service_factor(self.mds_id, env._now)
+        if self.warm_until > env._now:
+            # cold caches on a freshly provisioned elastic member: same
+            # degradation shape as the fault schedule's restart warm-up
+            duration_ms *= self.warm_factor
+        return duration_ms
+
+    def granted(self) -> int:
+        """Grant-time check of a hold under faults; returns the incarnation.
+
+        A server that went down while the request queued fails it — this
+        is how a crashed server's queue drains."""
+        if not self.up:
+            raise MdsUnavailableError(self.mds_id)
+        return self.incarnation
+
+    def survived(self, incarnation: int, duration_ms: float, span=None) -> None:
+        """Post-hold check under faults: a crash during the hold loses the
+        work — the client paid the hold, but it is charged as fault wait,
+        not busy time, and surfaces as :class:`MdsCrashedError`."""
+        if not self.up or self.incarnation != incarnation:
+            self._faults.count_service_abort()
+            if span is not None:
+                span.fault_wait_ms += duration_ms
+            raise MdsCrashedError(self.mds_id)
 
     def drain_epoch(self) -> tuple:
         """Return and reset this epoch's (busy, rpcs, qps)."""

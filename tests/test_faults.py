@@ -1,15 +1,14 @@
 """Fault-injection tests: schedules, crash semantics, retries, evacuation.
 
-The first half exercises the legacy ``SlowdownInjector`` shim (both its
-DeprecationWarning and its equivalence with the schedule model); the second
-half covers the schedule-model subsystem: JSON round-trips, crash windows
-with zero lost ops, drop/partition paths, restart warm-up, and dead-MDS
-evacuation by the balancer.
+The first half covers slowdowns — the injector's service factor, its effect
+on static vs. balancing policies, and an injector installed after
+construction — the second half the rest of the schedule model: JSON
+round-trips, crash windows with zero lost ops, drop/partition paths,
+restart warm-up, and dead-MDS evacuation by the balancer.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.balancers import CoarseHashPolicy, LunulePolicy
@@ -24,7 +23,6 @@ from repro.fs.faults import (
     RpcDelay,
     RpcDrop,
     Slowdown,
-    SlowdownInjector,
 )
 from repro.fs.filesystem import OrigamiFS, run_simulation
 from repro.sim import SeedSequenceFactory
@@ -33,11 +31,21 @@ from repro.workloads import generate_trace_rw
 
 def run_with_faults(policy, slowdowns, seed=0, n_ops=30000):
     built, trace = generate_trace_rw(SeedSequenceFactory(seed).stream("w"), n_ops=n_ops)
-    cfg = SimConfig(n_mds=4, n_clients=100, epoch_ms=80.0, params=CostParams(cache_depth=2))
-    fs = OrigamiFS(built.tree, trace, policy, cfg)
-    if slowdowns:
-        SlowdownInjector(fs, slowdowns)
-    return fs.run()
+    cfg = SimConfig(
+        n_mds=4,
+        n_clients=100,
+        epoch_ms=80.0,
+        params=CostParams(cache_depth=2),
+        faults=FaultSchedule(slowdowns) if slowdowns else None,
+    )
+    return run_simulation(built.tree, trace, policy, cfg)
+
+
+def _tiny_fs(**config):
+    built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=100)
+    return OrigamiFS(
+        built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2, **config)
+    )
 
 
 def test_slowdown_validation():
@@ -48,34 +56,19 @@ def test_slowdown_validation():
 
 
 def test_injector_rejects_unknown_mds():
-    built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=100)
-    fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
+    fs = _tiny_fs()
     with pytest.raises(ValueError):
-        SlowdownInjector(fs, [Slowdown(mds=9, start_ms=0, end_ms=1, factor=2.0)])
+        FaultInjector(fs, FaultSchedule([Slowdown(mds=9, start_ms=0, end_ms=1, factor=2.0)]))
 
 
 def test_factor_window():
-    built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=100)
-    fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
-    inj = SlowdownInjector(fs, [Slowdown(mds=1, start_ms=10, end_ms=20, factor=3.0)])
-    assert inj.factor_for(1, 5.0) == 1.0
-    assert inj.factor_for(1, 15.0) == 3.0
-    assert inj.factor_for(1, 25.0) == 1.0
-    assert inj.factor_for(0, 15.0) == 1.0
-
-
-def test_late_injector_install_disengages_fastpath():
-    """An injector attached after construction must void the fast path.
-
-    ``OrigamiFS`` decides fast-path engagement in ``__init__`` while
-    ``fs.faults`` is still None; the inlined replay loop never consults a
-    later-installed injector, so installation has to clear the flag."""
-    built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=200)
-    fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
-    assert fs.fastpath_engaged, "eligible healthy config should engage"
-    with pytest.warns(DeprecationWarning):
-        SlowdownInjector(fs, [Slowdown(mds=0, start_ms=0, end_ms=1e9, factor=2.0)])
-    assert not fs.fastpath_engaged, "late fault install must force the general loop"
+    inj = FaultInjector(
+        _tiny_fs(), FaultSchedule([Slowdown(mds=1, start_ms=10, end_ms=20, factor=3.0)])
+    )
+    assert inj.service_factor(1, 5.0) == 1.0
+    assert inj.service_factor(1, 15.0) == 3.0
+    assert inj.service_factor(1, 25.0) == 1.0
+    assert inj.service_factor(0, 15.0) == 1.0
 
 
 def test_slowdown_degrades_static_partitioning():
@@ -102,40 +95,33 @@ def test_balancer_routes_around_degraded_mds():
     assert balanced.migrations > 0
 
 
-# --------------------------------------------------------------- shim model
-
-
-def test_legacy_shim_warns_and_matches_schedule_path():
-    """SlowdownInjector must behave exactly like the schedule it wraps."""
+def test_late_injector_install_matches_config_schedule():
+    """An injector installed between construction and run() must see every
+    call: the replay equals the same schedule passed through SimConfig."""
     slow = [Slowdown(mds=0, start_ms=20.0, end_ms=60.0, factor=3.0)]
 
-    def build(seed=3, n_ops=3000):
-        built, trace = generate_trace_rw(
-            SeedSequenceFactory(seed).stream("w"), n_ops=n_ops
-        )
+    def build(faults=None):
+        built, trace = generate_trace_rw(SeedSequenceFactory(3).stream("w"), n_ops=3000)
         cfg = SimConfig(
-            n_mds=3, n_clients=10, epoch_ms=40.0, params=CostParams(cache_depth=2)
+            n_mds=3, n_clients=10, epoch_ms=40.0, params=CostParams(cache_depth=2),
+            faults=faults,
         )
         return OrigamiFS(built.tree, trace, LunulePolicy(), cfg)
 
-    fs_legacy = build()
-    with pytest.warns(DeprecationWarning):
-        SlowdownInjector(fs_legacy, slow)
-    legacy = fs_legacy.run().to_dict()
+    late = build()
+    FaultInjector(late, FaultSchedule(slow))
+    late_result = late.run().to_dict()
+    configured = build(FaultSchedule(slow)).run().to_dict()
+    assert late_result == configured
+    # the slowdown really was applied: a healthy run differs
+    healthy = build().run().to_dict()
+    assert healthy["duration_ms"] != configured["duration_ms"]
 
-    fs_new = build()
-    FaultInjector(fs_new, FaultSchedule(slow))
-    new = fs_new.run().to_dict()
-    assert legacy == new
 
-
-def test_legacy_shim_refuses_double_install():
-    built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=100)
-    fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, n_clients=2))
-    FaultInjector(fs, FaultSchedule([]))
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(RuntimeError):
-            SlowdownInjector(fs, [Slowdown(mds=0, start_ms=0, end_ms=1, factor=2.0)])
+def test_injector_refuses_double_install():
+    fs = _tiny_fs(faults=FaultSchedule([]))
+    with pytest.raises(RuntimeError):
+        FaultInjector(fs, FaultSchedule([Slowdown(mds=0, start_ms=0, end_ms=1, factor=2.0)]))
 
 
 # ----------------------------------------------------------- schedule model

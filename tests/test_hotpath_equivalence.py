@@ -4,7 +4,7 @@ The million-entity hot-path PR rewrote the DES inner loop (packed heap keys,
 inlined ``Environment.run``, flat event construction), the client planner
 (memoised RPC plans), the namespace/partition read paths, and the workload
 generators — all as *constant-factor* optimizations.  None of them may move a
-single deterministic output bit.  This suite proves that along three axes:
+single deterministic output bit.  This suite proves that along four axes:
 
 1. **Golden differential cells** — ``tests/golden_hotpath/`` holds fixtures
    captured from the tree *before* any optimization landed (see
@@ -18,7 +18,11 @@ single deterministic output bit.  This suite proves that along three axes:
    must be identical: determinism is a property of the simulator, not of the
    eleven captured points.
 
-3. **Scheduler-ordering invariants** — the packed heap key
+3. **Observational equivalence** — a run with the span tracer on gives
+   the same result and timeline as the same run with it off, across
+   healthy, faulted and durable configurations.
+
+4. **Scheduler-ordering invariants** — the packed heap key
    (``priority << 62 | seq``) must order exactly like the old
    ``(time, priority, seq)`` tuple: FIFO among same-time/same-priority
    events, URGENT before NORMAL at equal time, and strictly increasing
@@ -166,19 +170,18 @@ def test_distinct_seeds_produce_distinct_traces(seed_a, seed_b):
 
 
 # --------------------------------------------------------------------------
-# 3. fast path vs general loop: forced-off parity
+# 3. observation does not perturb the run: span tracer on vs off
 # --------------------------------------------------------------------------
-def _eligible_replay(kind: str, seed: int, fastpath: bool):
-    """One fastpath-eligible run (no tracer/faults/durability), both modes."""
+def _replay(kind: str, seed: int, flavor: str, trace: bool, scratch):
+    """One run reduced to its deterministic outputs, with or without spans."""
     from repro.balancers import LunulePolicy
     from repro.costmodel import CostParams
-    from repro.fs import SimConfig
-    from repro.fs.filesystem import OrigamiFS
+    from repro.fs import SimConfig, run_simulation
     from repro.harness.experiments import build_workload
     from repro.obs import Observability
 
-    built, trace = build_workload(kind, 1500, seed)
-    obs = Observability(trace=False, timeline=True, timeline_window_ms=12.0)
+    built, trace_ = build_workload(kind, 1500, seed)
+    obs = Observability(trace=trace, timeline=True, timeline_window_ms=12.0)
     config = SimConfig(
         n_mds=3,
         n_clients=8,
@@ -186,40 +189,37 @@ def _eligible_replay(kind: str, seed: int, fastpath: bool):
         params=CostParams(cache_depth=2),
         seed=seed,
         obs=obs,
-        fastpath=fastpath,
+        faults=MATRIX.fault_schedule() if flavor == "faults" else None,
+        data_dir=str(scratch / f"stores-{trace}") if flavor == "durable" else None,
     )
-    fs = OrigamiFS(built.tree, trace, LunulePolicy(), config)
-    engaged = fs.fastpath_engaged
-    rd = fs.run().to_dict()
+    rd = run_simulation(built.tree, trace_, LunulePolicy(), config).to_dict()
     for key in MATRIX.VOLATILE_RESULT_KEYS:
         rd.pop(key, None)
-    return engaged, {"result": rd, "windows": obs.timeline.to_rows()}
+    return {"result": rd, "windows": obs.timeline.to_rows()}, len(obs.tracer.spans)
 
 
-@pytest.mark.parametrize("kind,seed", [("rw", 0), ("wi", 1), ("ro", 0)])
-def test_fastpath_bit_identical_to_general_loop(kind, seed):
-    """SimConfig.fastpath=True vs False: every deterministic output bit,
-    including the windowed timeline, must match — and the flag must actually
-    flip which replay loop ran (guarding against silent disengagement)."""
-    on_engaged, on = _eligible_replay(kind, seed, fastpath=True)
-    off_engaged, off = _eligible_replay(kind, seed, fastpath=False)
-    assert on_engaged, "eligible config must engage the fast path"
-    assert not off_engaged, "fastpath=False must force the general loop"
-    _assert_equal(f"fastpath-parity/{kind}/seed{seed}", off, on)
-
-
-def test_fastpath_env_kill_switch(monkeypatch):
-    """REPRO_FASTPATH=0 force-disables the fast path when the config defers."""
-    from repro.sim import fastpath as fp
-
-    class _Cfg:
-        fastpath = None
-
-    class _FS:
-        config = _Cfg()
-
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert fp.engaged(_FS()) is False
+@pytest.mark.parametrize(
+    "kind,seed,flavor",
+    [
+        ("rw", 0, "healthy"),
+        ("wi", 1, "healthy"),
+        ("ro", 0, "healthy"),
+        ("rw", 0, "faults"),
+        ("wi", 0, "durable"),
+    ],
+)
+def test_tracer_on_off_bit_identical(kind, seed, flavor, tmp_path):
+    """Every deterministic output bit, including the windowed timeline, is
+    the same with the span tracer on and off.  The golden cells all trace,
+    so this pins the untraced runs the benchmark times to the same bits."""
+    traced, n_spans = _replay(kind, seed, flavor, True, tmp_path)
+    bare, no_spans = _replay(kind, seed, flavor, False, tmp_path)
+    assert n_spans == 1500 and no_spans == 0
+    if flavor == "faults":
+        assert traced["result"]["faults"]["crashes"] == 1
+    if flavor == "durable":
+        assert traced["result"]["kvstore"]["wal_appends"] > 0
+    _assert_equal(f"tracer-on-off/{kind}/seed{seed}/{flavor}", traced, bare)
 
 
 # --------------------------------------------------------------------------

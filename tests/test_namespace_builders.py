@@ -170,7 +170,7 @@ def test_access_stats_growths_logarithmic():
     import math
 
     assert stats.growths <= math.ceil(math.log2(n / cap0)) + 1
-    # buffered (fastpath) route flushes through the same doubling path
+    # the client loop's buffered route flushes through the same doubling path
     before = stats.growths
     stats._buf_writes.extend(range(n, 4 * n))
     stats._flush_buffers()
