@@ -92,7 +92,6 @@ def run_state(fs) -> tuple:
         fs.tree,
         pmap,
         fs.cache,
-        servers,
         # lsdir fan-out legs, one per MDS: a bare RPC served in T_rpc
         tuple(
             (s, s.mds_id, s.resource.request, s.resource.release,
@@ -100,9 +99,7 @@ def run_state(fs) -> tuple:
             for s in servers
         ),
         params.t_exec_table,
-        params.t_coor,
         params.rtt if fs.config.rtt_jitter == 0 else None,
-        fs.network_rtt,
         fs._ops,
         fs._dir_inos,
         fs._aux,
@@ -133,7 +130,6 @@ def run_state(fs) -> tuple:
         fs.durability is not None,
         fs.use_kvstore,
         fs.datapath,
-        fs.DATA_OPS,
     )
 
 
@@ -285,12 +281,9 @@ class ClientWorker:
             tree,
             pmap,
             cache,
-            servers,
             fanout,
             t_exec_table,
-            t_coor,
             rtt,
-            network_rtt,
             ops,
             dir_inos,
             auxs,
@@ -315,7 +308,6 @@ class ClientWorker:
             durable,
             kvstore,
             datapath,
-            data_ops,
         ) = fs._client_shared
         TO = Timeout
         my_rpcs = 0
@@ -330,12 +322,10 @@ class ClientWorker:
             fs.cursor = i + 1
             op = ops[i]
             dir_ino = dir_inos[i]
-            if thinks is not None:
+            if thinks is not None and thinks[i] > 0.0:
                 # offered-load shaping: the client idles before issuing, so
                 # think time is *not* part of the op's measured latency
-                t = thinks[i]
-                if t > 0.0:
-                    yield TO(env, t)
+                yield TO(env, thinks[i])
             if tracer is None:
                 span = None
             else:
@@ -399,7 +389,7 @@ class ClientWorker:
                                 rpcs_inc()
                                 my_rpcs += 1
                                 # network round trip to this MDS
-                                hop = rtt if rtt is not None else network_rtt()
+                                hop = rtt if rtt is not None else fs.network_rtt()
                                 if span is not None:
                                     span.net_ms += hop
                                     span.rpcs += 1
@@ -435,8 +425,10 @@ class ClientWorker:
                                 break
                             # lsdir then asks every other MDS holding children;
                             # looked up only now (file creates change the set
-                            # without moving the plan stamp)
-                            legs = [fanout[o] for o in sorted(pmap.lsdir_owners(dir_ino))]
+                            # without moving the plan stamp).  No comprehension:
+                            # it would make ``fanout`` a cell, one more GC-tracked
+                            # object per client
+                            legs = map(fanout.__getitem__, sorted(pmap.lsdir_owners(dir_ino)))
 
                         if is_lsdir:
                             buf_lsdir(dir_ino)
@@ -460,12 +452,12 @@ class ClientWorker:
                             else:
                                 partner = self._split_partner(op, dir_ino, name, aux)
                             if partner is not None:
-                                servers[partner].count_rpc()
+                                fs.servers[partner].count_rpc()
                                 my_rpcs += 1
                                 if span is not None:
                                     span.rpcs += 1
                                 # the coordination RTT is already inside T_coor
-                                yield from pserver.service(t_coor, span)
+                                yield from pserver.service(fs.params.t_coor, span)
                             self._apply_mutation(op, dir_ino, name, aux, span)
                             if durable:
                                 # the mutation's WAL append (and any group commit
@@ -481,27 +473,27 @@ class ClientWorker:
                                 name = names[i] if names is not None else ""
                                 pserver.kv_get(b"%020d/%s" % (dir_ino, name.encode()), span)
                             buf_read(dir_ino)
-                    except FaultError as exc:
-                        fault = exc
+                    except FaultError as fault:
+                        # a faulted attempt: fail typed once the budget is
+                        # spent, else back off and re-plan against the
+                        # current map
+                        if attempt >= inj.retry.max_attempts:
+                            inj.count_op_failed(fault)
+                            fs.fault_failed_ops += 1
+                            if span is not None:
+                                span.failed = True
+                                span.fault = fault.reason
+                            completed = False
+                            break
+                        inj.count_retry()
+                        wait = inj.backoff_ms(attempt)
+                        if span is not None:
+                            span.retries += 1
+                            span.fault_wait_ms += wait
                     else:
                         if attempt > 1:
                             inj.count_recovered()
                         break
-                    # a faulted attempt: fail typed once the budget is spent,
-                    # else back off and re-plan against the current map
-                    if attempt >= inj.retry.max_attempts:
-                        inj.count_op_failed(fault)
-                        fs.fault_failed_ops += 1
-                        if span is not None:
-                            span.failed = True
-                            span.fault = fault.reason
-                        completed = False
-                        break
-                    inj.count_retry()
-                    wait = inj.backoff_ms(attempt)
-                    if span is not None:
-                        span.retries += 1
-                        span.fault_wait_ms += wait
                     yield TO(env, wait)
                     attempt += 1
                     # the backoff may span epoch boundaries: the balancer can
@@ -517,8 +509,8 @@ class ClientWorker:
                             span.failovers += 1
                 if completed:
                     my_ops += 1
-                last_now = now = env._now
-                latency = now - start
+                last_now = env._now
+                latency = last_now - start
             if span is not None:
                 tracer.finish(span, env._now)
             latency_record(latency)
@@ -526,7 +518,7 @@ class ClientWorker:
             m_latency_observe(latency)
             if timeline_record is not None:
                 timeline_record(latency)
-            if datapath is not None and op in data_ops:
+            if datapath is not None and op in fs.DATA_OPS:
                 yield from datapath.transfer(fs, dir_ino)
 
         fs.total_rpcs += my_rpcs
