@@ -172,7 +172,7 @@ def test_distinct_seeds_produce_distinct_traces(seed_a, seed_b):
 # --------------------------------------------------------------------------
 # 3. observation does not perturb the run: span tracer on vs off
 # --------------------------------------------------------------------------
-def _replay(kind: str, seed: int, flavor: str, trace: bool, scratch):
+def _replay(kind: str, seed: int, flavor: str, traced: bool, scratch):
     """One run reduced to its deterministic outputs, with or without spans."""
     from repro.balancers import LunulePolicy
     from repro.costmodel import CostParams
@@ -180,8 +180,8 @@ def _replay(kind: str, seed: int, flavor: str, trace: bool, scratch):
     from repro.harness.experiments import build_workload
     from repro.obs import Observability
 
-    built, trace_ = build_workload(kind, 1500, seed)
-    obs = Observability(trace=trace, timeline=True, timeline_window_ms=12.0)
+    built, trace = build_workload(kind, 1500, seed)
+    obs = Observability(trace=traced, timeline=True, timeline_window_ms=12.0)
     config = SimConfig(
         n_mds=3,
         n_clients=8,
@@ -190,9 +190,9 @@ def _replay(kind: str, seed: int, flavor: str, trace: bool, scratch):
         seed=seed,
         obs=obs,
         faults=MATRIX.fault_schedule() if flavor == "faults" else None,
-        data_dir=str(scratch / f"stores-{trace}") if flavor == "durable" else None,
+        data_dir=str(scratch / f"stores-{traced}") if flavor == "durable" else None,
     )
-    rd = run_simulation(built.tree, trace_, LunulePolicy(), config).to_dict()
+    rd = run_simulation(built.tree, trace, LunulePolicy(), config).to_dict()
     for key in MATRIX.VOLATILE_RESULT_KEYS:
         rd.pop(key, None)
     return {"result": rd, "windows": obs.timeline.to_rows()}, len(obs.tracer.spans)
