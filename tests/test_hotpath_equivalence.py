@@ -172,7 +172,7 @@ def test_distinct_seeds_produce_distinct_traces(seed_a, seed_b):
 # --------------------------------------------------------------------------
 # 3. observation does not perturb the run: span tracer on vs off
 # --------------------------------------------------------------------------
-def _replay(kind: str, seed: int, flavor: str, traced: bool, scratch):
+def _replay(kind: str, seed: int, flavor: str, traced: bool, tmp_dir):
     """One run reduced to its deterministic outputs, with or without spans."""
     from repro.balancers import LunulePolicy
     from repro.costmodel import CostParams
@@ -190,7 +190,7 @@ def _replay(kind: str, seed: int, flavor: str, traced: bool, scratch):
         seed=seed,
         obs=obs,
         faults=MATRIX.fault_schedule() if flavor == "faults" else None,
-        data_dir=str(scratch / f"stores-{traced}") if flavor == "durable" else None,
+        data_dir=str(tmp_dir / f"stores-{traced}") if flavor == "durable" else None,
     )
     rd = run_simulation(built.tree, trace, LunulePolicy(), config).to_dict()
     for key in MATRIX.VOLATILE_RESULT_KEYS:
