@@ -150,9 +150,10 @@ class ClientWorker:
         path order — ``(server, mds, request, release, rpcs_inc, busy_inc,
         svc, is_primary)`` — covering the uncached path components plus the
         target entry, with the ``T_inode``/``T_rpc`` arithmetic folded into
-        ``svc`` (the primary adds ``T_exec`` to it per op, the same final
-        addition as an unplanned hold).  The walk counts its cache hits and
-        misses on the cache; ``n_hits``/``n_misses`` let a reuse replay them.
+        ``svc``; the primary's leg adds ``T_exec`` per op, so its hold is
+        ``(T_inode * (n + 1) + T_rpc) + T_exec`` summed in that order.  The
+        walk counts its cache hits and misses on the cache;
+        ``n_hits``/``n_misses`` let a reuse replay them.
 
         Plans against a steady-state near-root cache are pure functions of
         ``(dir_ino, lsdir?)`` — coverage is structural (depth threshold),
