@@ -17,9 +17,7 @@ SCENARIO = get_scenario("fig5_overall")
 
 
 def test_fig5_overall(benchmark, scale, save_report):
-    rep, _results = benchmark.pedantic(
-        lambda: E.fig5_overall(scale), rounds=1, iterations=1
-    )
+    rep = benchmark.pedantic(lambda: E.fig5_overall(scale), rounds=1, iterations=1)
     save_report(rep, "fig5_overall")
     tput = rep.data["throughput_x"]
     # the figure covers exactly the registered scenario's variants

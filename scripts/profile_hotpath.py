@@ -30,12 +30,6 @@ import pstats
 import sys
 
 
-def build(kind: str, scale, seed: int):
-    from repro.harness.experiments import build_workload
-
-    return build_workload(kind, scale.n_ops, seed, tree_scale=scale.tree_scale)
-
-
 def run(kind: str, scale, seed: int):
     from repro.harness.experiments import run_strategy
 
@@ -61,10 +55,12 @@ def _hotspot_rows(stats: pstats.Stats, top: int) -> list:
 
 
 def main(argv=None) -> int:
+    from repro.harness.config import SCALES
+    from repro.workloads import WORKLOADS
+
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kind", default="rw", choices=("rw", "ro", "wi", "mdtest"))
-    ap.add_argument("--scale", default="default",
-                    choices=("smoke", "default", "full", "large"))
+    ap.add_argument("--kind", default="rw", choices=tuple(WORKLOADS))
+    ap.add_argument("--scale", default="default", choices=tuple(SCALES))
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--sort", default="tottime",
                     choices=("tottime", "cumtime", "ncalls"))
@@ -79,9 +75,7 @@ def main(argv=None) -> int:
                          "this from the hotpath-equivalence job)")
     args = ap.parse_args(argv)
 
-    from repro.harness.config import get_scale
-
-    scale = get_scale(args.scale)
+    scale = SCALES[args.scale]
     print(f"profiling Lunule on Trace-{args.kind.upper()}, scale={scale.name} "
           f"({scale.n_ops:,} ops, {scale.n_clients:,} clients, "
           f"tree_scale={scale.tree_scale:g}), seed={args.seed}")

@@ -8,17 +8,19 @@ one path.
 
 The built-in scenarios registered at import time subsume the
 configurations that ``benchmarks/test_fig*.py`` used to hard-code;
-``repro.harness.experiments`` iterates the same variant lists when it
-regenerates the paper figures.
+``repro.harness.experiments`` runs the ``fig2_even_partitioning``,
+``fig5_overall`` and ``fig8_scalability`` variants when it regenerates
+Figs 2 and 5-8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.fs.elastic import AutoscaleSpec
 from repro.fs.faults import Crash, FaultSchedule, Slowdown
+from repro.workloads import WORKLOADS
 
 __all__ = [
     "BenchVariant",
@@ -27,11 +29,8 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "iter_scenarios",
-    "VALID_KINDS",
+    "FIGURE_STRATEGIES",
 ]
-
-#: workload families the harness knows how to build
-VALID_KINDS = ("rw", "ro", "wi", "mdtest", "diurnal", "flash", "onboard")
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ class BenchScenario:
 
     name: str
     description: str
-    #: workload family (see :data:`VALID_KINDS`)
+    #: workload family (a key of :data:`repro.workloads.WORKLOADS`)
     kind: str
     variants: Tuple[BenchVariant, ...]
     #: root seeds; each (variant, seed) cell is one independent run
@@ -105,8 +104,10 @@ class BenchScenario:
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown workload kind {self.kind!r}; choose from {VALID_KINDS}")
+        if self.kind not in WORKLOADS:
+            raise ValueError(
+                f"unknown workload kind {self.kind!r}; choose from {tuple(WORKLOADS)}"
+            )
         if not self.variants:
             raise ValueError(f"scenario {self.name!r} needs at least one variant")
         names = [v.name for v in self.variants]
@@ -226,7 +227,7 @@ register_scenario(
             BenchVariant("Single-1mds", strategy="Single", n_mds=1),
             *(
                 BenchVariant(f"{s}-{m}mds", strategy=s, n_mds=m)
-                for s in ("C-Hash", "F-Hash", "ML-tree", "Origami")
+                for s in FIGURE_STRATEGIES[1:]
                 for m in (2, 3, 4, 5)
             ),
         ),

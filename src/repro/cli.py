@@ -41,43 +41,29 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
-_EXPERIMENTS = (
-    "fig2_even_partitioning",
-    "fig5_overall",
-    "fig6_imbalance",
-    "table1_features",
-    "table2_cache",
-    "fig7_efficiency",
-    "fig8_scalability",
-    "fig9_realworld",
-    "theorem1_gap",
-    "ablation_delta",
-    "ablation_cache_depth",
-    "ablation_models",
-    "ablation_epoch_length",
-    "ablation_online_learning",
-    "ablation_mdtest_uniform",
-    "ablation_cache_design",
-)
-
-_STRATEGIES = (
-    "Single", "Even", "C-Hash", "F-Hash", "Lunule", "ML-tree",
-    "AdaM-RL", "Origami", "Origami-online", "Meta-OPT",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
+    # the choices come from the tables the commands run on, imported here
+    # so that importing this module stays cheap
+    from repro.bench.compare import THRESHOLD_PROFILES
+    from repro.harness.config import SCALES
+    from repro.harness.experiments import EXPERIMENTS, STRATEGY_FACTORIES
+    from repro.obs.export import HEATMAP_METRICS
+    from repro.workloads import WORKLOADS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Origami (ICPP 2025) reproduction toolkit",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("experiments", help="list available paper experiments")
+    ex = sub.add_parser("experiments", help="list available paper experiments")
+    ex.set_defaults(func=_cmd_experiments)
 
     run = sub.add_parser("run", help="regenerate one figure/table")
-    run.add_argument("experiment", choices=_EXPERIMENTS)
-    run.add_argument("--scale", default=None, choices=("smoke", "default", "full", "large"))
+    run.set_defaults(func=_cmd_run)
+    run.add_argument("experiment", choices=tuple(EXPERIMENTS))
+    run.add_argument("--scale", default=None, choices=tuple(SCALES))
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--json", dest="json_out", default=None, help="write report JSON here")
     run.add_argument(
@@ -86,26 +72,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     wl = sub.add_parser("workload", help="generate a trace and describe it")
-    wl.add_argument("kind", choices=("rw", "ro", "wi", "mdtest", "diurnal", "flash", "onboard"))
+    wl.set_defaults(func=_cmd_workload)
+    wl.add_argument("kind", choices=tuple(WORKLOADS))
     wl.add_argument("--ops", type=int, default=30_000)
     wl.add_argument("--seed", type=int, default=0)
     wl.add_argument("--save", default=None, help="save the trace bundle to this .npz path")
 
     tr = sub.add_parser("train", help="run the training pipeline for a workload family")
+    tr.set_defaults(func=_cmd_train)
     tr.add_argument("kind", choices=("rw", "ro", "wi"))
     tr.add_argument("--ops", type=int, default=40_000)
     tr.add_argument("--rounds", type=int, default=120)
     tr.add_argument("--seed", type=int, default=7)
 
     si = sub.add_parser("simulate", help="one DES run of a strategy on a workload")
-    si.add_argument("strategy", choices=_STRATEGIES)
-    si.add_argument("kind", choices=("rw", "ro", "wi", "mdtest", "diurnal", "flash", "onboard"))
+    si.set_defaults(func=_cmd_simulate)
+    si.add_argument("strategy", choices=tuple(STRATEGY_FACTORIES))
+    si.add_argument("kind", choices=tuple(WORKLOADS))
     si.add_argument("--ops", type=int, default=60_000)
     si.add_argument("--mds", type=int, default=5)
     si.add_argument("--clients", type=int, default=300)
     si.add_argument("--seed", type=int, default=42)
     si.add_argument("--cache-depth", type=int, default=2)
-    si.add_argument("--scale", default=None, choices=("smoke", "default", "full", "large"),
+    si.add_argument("--scale", default=None, choices=tuple(SCALES),
                     help="scale profile (default: $REPRO_SCALE or 'default'); "
                          "sets epoch length and the namespace-size multiplier")
     si.add_argument("--epoch-ms", type=float, default=None,
@@ -154,12 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the full SimResult (incl. per-epoch arrays) here")
 
     rp = sub.add_parser("report", help="latency-decomposition report of a span trace")
+    rp.set_defaults(func=_cmd_report)
     rp.add_argument("trace", help="span JSONL file written by `simulate --trace`")
     rp.add_argument("--timeline", dest="timeline_path", default=None, metavar="PATH",
                     help="timeline JSONL from `simulate --timeline`: adds "
                          "steady-state events/sec and per-window throughput")
 
     ob = sub.add_parser("obs", help="inspect timeline telemetry files")
+    ob.set_defaults(func=_cmd_obs)
     osub = ob.add_subparsers(dest="obs_command", required=True)
 
     ot = osub.add_parser("timeline", help="per-window table of a timeline file")
@@ -169,9 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oh = osub.add_parser("heatmap", help="ASCII per-MDS load heatmap")
     oh.add_argument("timeline", help="JSONL written by `simulate --timeline`")
-    oh.add_argument("--metric", default="ops",
-                    choices=("ops", "busy", "rpcs", "queue", "wal", "fsyncs",
-                             "migrations"),
+    oh.add_argument("--metric", default="ops", choices=tuple(HEATMAP_METRICS),
                     help="per-MDS series to shade (default: ops)")
     oh.add_argument("--width", type=int, default=72, metavar="COLS",
                     help="max heatmap columns; wider timelines are max-pooled")
@@ -186,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the full SLO report JSON here")
 
     rc = sub.add_parser("recover", help="inspect a durable data directory (read-only)")
+    rc.set_defaults(func=_cmd_recover)
     rc.add_argument("data_dir",
                     help="one store directory, or a `simulate --data-dir` root "
                          "holding mds-* store directories")
@@ -193,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the per-store inspection dicts here")
 
     pl = sub.add_parser("plan", help="offline Meta-OPT migration plan")
+    pl.set_defaults(func=_cmd_plan)
     pl.add_argument("kind", choices=("rw", "ro", "wi"))
     pl.add_argument("--ops", type=int, default=8_000)
     pl.add_argument("--mds", type=int, default=5)
@@ -203,39 +194,43 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = be.add_subparsers(dest="bench_command", required=True)
 
     br = bsub.add_parser("run", help="run scenarios and write BENCH_<name>.json artifacts")
+    br.set_defaults(func=_cmd_bench_run)
     br.add_argument("--scenario", action="append", default=None, metavar="NAME",
                     help="scenario to run (repeatable; default: all registered)")
     br.add_argument("--workers", type=int, default=1,
                     help="process-pool size (1 = inline; output is identical either way)")
-    br.add_argument("--scale", default=None, choices=("smoke", "default", "full", "large"),
+    br.add_argument("--scale", default=None, choices=tuple(SCALES),
                     help="scale tier override (default: each scenario's own tier)")
     br.add_argument("--seeds", default=None, metavar="S1,S2,...",
                     help="comma-separated seed-list override")
     br.add_argument("--out-dir", default=".", metavar="DIR",
                     help="directory for BENCH_<scenario>.json (default: cwd)")
 
-    bsub.add_parser("list", help="list registered bench scenarios")
+    bl = bsub.add_parser("list", help="list registered bench scenarios")
+    bl.set_defaults(func=_cmd_bench_list)
 
     bc = bsub.add_parser("compare", help="diff two artifacts; exit 1 on regression")
+    bc.set_defaults(func=_cmd_bench_compare)
     bc.add_argument("baseline", help="baseline BENCH_*.json")
     bc.add_argument("candidate", help="candidate BENCH_*.json")
-    bc.add_argument("--profile", default="default", choices=("default", "smoke"),
+    bc.add_argument("--profile", default="default", choices=tuple(THRESHOLD_PROFILES),
                     help="threshold profile (smoke = relaxed CI tolerances)")
     bc.add_argument("--threshold", action="append", default=None,
                     metavar="METRIC=FRAC",
                     help="override one gate, e.g. p99_latency_ms=0.1 (repeatable)")
 
     bp = bsub.add_parser("report", help="render one artifact as text tables")
+    bp.set_defaults(func=_cmd_bench_report)
     bp.add_argument("artifact", help="a BENCH_*.json file")
     return p
 
 
-def _cmd_experiments() -> int:
+def _cmd_experiments(args) -> int:
     from repro.bench.scenario import iter_scenarios
-    from repro.harness import experiments as E
+    from repro.harness.experiments import EXPERIMENTS
 
-    for name in _EXPERIMENTS:
-        doc = (getattr(E, name).__doc__ or "").strip().splitlines()[0]
+    for name, fn in EXPERIMENTS.items():
+        doc = (fn.__doc__ or "").strip().splitlines()[0]
         print(f"{name:28s} {doc}")
     print("\nbench scenarios (run with `repro bench run --scenario <name>`):")
     for scn in iter_scenarios():
@@ -249,18 +244,21 @@ def _cmd_experiments() -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.harness import experiments as E
     from repro.harness.config import get_scale
+    from repro.harness.experiments import EXPERIMENTS
     from repro.obs.profiling import PROFILER
 
-    scale = get_scale(args.scale)
-    fn = getattr(E, args.experiment)
+    try:
+        scale = get_scale(args.scale)
+    except ValueError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        return 2
+    fn = EXPERIMENTS[args.experiment]
     if args.profile:
         PROFILER.enabled = True
         PROFILER.reset()
     with PROFILER.phase(f"experiment:{args.experiment}"):
-        out = fn(scale, seed=args.seed) if args.experiment != "theorem1_gap" else fn(seed=args.seed)
-    rep = out[0] if isinstance(out, tuple) else out
+        rep = fn(scale, seed=args.seed) if args.experiment != "theorem1_gap" else fn(seed=args.seed)
     print(rep.render())
     if args.profile:
         print()
@@ -297,17 +295,13 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from repro.costmodel import CostParams
-    from repro.harness.experiments import build_workload
+    from repro.harness.experiments import build_workload, training_set
     from repro.ml.importance import rank_features
-    from repro.training import collect_training_data, train_models, train_origami_model
+    from repro.training import train_models, train_origami_model
 
-    params = CostParams(cache_depth=2)
     built, trace = build_workload(args.kind, args.ops, args.seed)
     print(f"collecting labels from {len(trace):,} ops ...")
-    dataset, _ = collect_training_data(
-        built.tree, trace, n_mds=5, params=params, delta=50.0, ops_per_epoch=4000
-    )
+    dataset = training_set(built, trace, ops_per_epoch=4000)
     print(f"samples: {dataset.n_samples:,}")
     reports = train_models(dataset, gbdt_rounds=args.rounds)
     print(f"\n{'model':16s} {'RMSE':>8s} {'R2':>8s} {'Spearman':>9s} {'top-10%':>8s}")
@@ -321,7 +315,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.harness.config import ExperimentScale, get_scale
+    from repro.harness.config import get_scale
     from repro.harness.experiments import build_workload, make_policy
     from repro.costmodel import CostParams
     from repro.durability import Checkpointer, CheckpointError, SimCheckpoint
@@ -329,7 +323,11 @@ def _cmd_simulate(args) -> int:
     from repro.fs.filesystem import OrigamiFS
     from repro.obs import Observability
 
-    scale = get_scale(args.scale)
+    try:
+        scale = get_scale(args.scale)
+    except ValueError as exc:
+        print(f"repro simulate: {exc}", file=sys.stderr)
+        return 2
     built, trace = build_workload(
         args.kind, args.ops, args.seed, tree_scale=scale.tree_scale
     )
@@ -751,7 +749,7 @@ def _cmd_bench_run(args) -> int:
     return 0
 
 
-def _cmd_bench_list() -> int:
+def _cmd_bench_list(args) -> int:
     from repro.bench.scenario import iter_scenarios
     from repro.harness.report import format_table
 
@@ -813,41 +811,9 @@ def _cmd_bench_report(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.bench_command == "run":
-        return _cmd_bench_run(args)
-    if args.bench_command == "list":
-        return _cmd_bench_list()
-    if args.bench_command == "compare":
-        return _cmd_bench_compare(args)
-    if args.bench_command == "report":
-        return _cmd_bench_report(args)
-    raise AssertionError("unreachable")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "experiments":
-        return _cmd_experiments()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "workload":
-        return _cmd_workload(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    raise AssertionError("unreachable")
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ training where needed → DES runs) and returns a structured result carrying
 both the measured values and the paper's reported values, so the printed
 report reads as a direct paper-vs-reproduction comparison.
 
-Scale: experiments default to a laptop-friendly size (~60k-op traces).  Set
+Scale: experiments default to a laptop-friendly size (~60k-op traces), the
+size the figure benchmarks' shape assertions are set for.  Set
 ``REPRO_SCALE=full`` in the environment for larger runs closer to the
-paper's durations, or ``REPRO_SCALE=smoke`` for CI-speed sanity runs.
+paper's durations, or ``REPRO_SCALE=smoke`` for fast runs too short for
+every paper shape to show.
 """
 
 from repro.harness.analytic import AnalyticResult, analytic_replay

@@ -13,13 +13,15 @@ Conventions:
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Tuple
+import inspect
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.bench.execute import run_variant as run_bench_variant
-from repro.bench.scenario import get_scenario as get_bench_scenario
+from repro.bench.scenario import FIGURE_STRATEGIES, get_scenario as get_bench_scenario
 from repro.balancers import (
+    AdamRLPolicy,
     CoarseHashPolicy,
     EvenPartitionPolicy,
     FineHashPolicy,
@@ -35,138 +37,113 @@ from repro.costmodel import CostParams, evaluate_trace
 from repro.fs import SimConfig, SimResult, run_simulation
 from repro.harness.config import ExperimentScale, default_params, get_scale
 from repro.harness.report import Report
-from repro.ml.dataset import FEATURE_NAMES
 from repro.ml.importance import rank_features
 from repro.obs.profiling import PROFILER
 from repro.sim import SeedSequenceFactory
-from repro.training import collect_training_data, train_models, train_origami_model
-from repro.workloads import (
-    generate_trace_diurnal,
-    generate_trace_flash,
-    generate_trace_mdtest,
-    generate_trace_onboard,
-    generate_trace_ro,
-    generate_trace_rw,
-    generate_trace_wi,
+from repro.training import (
+    OnlineOrigamiPolicy,
+    collect_training_data,
+    train_models,
+    train_origami_model,
 )
+from repro.workloads import WORKLOADS
 
 __all__ = [
-    "fig2_even_partitioning",
-    "fig5_overall",
-    "fig6_imbalance",
-    "table1_features",
-    "table2_cache",
-    "fig7_efficiency",
-    "fig8_scalability",
-    "fig9_realworld",
-    "theorem1_gap",
-    "ablation_delta",
-    "ablation_cache_depth",
-    "ablation_models",
-    "ablation_epoch_length",
-    "ablation_online_learning",
-    "ablation_mdtest_uniform",
-    "ablation_cache_design",
-    "STRATEGIES",
+    "EXPERIMENTS",
+    "STRATEGY_FACTORIES",
+    "build_workload",
+    "make_policy",
+    "origami_model",
+    "run_strategy",
+    "training_set",
 ]
 
-#: figure-legend order used throughout the evaluation
-STRATEGIES = ("Single", "C-Hash", "F-Hash", "ML-tree", "Origami")
-
-_WORKLOADS = {
-    "rw": generate_trace_rw,
-    "ro": generate_trace_ro,
-    "wi": generate_trace_wi,
-    "mdtest": generate_trace_mdtest,
-    "diurnal": generate_trace_diurnal,
-    "flash": generate_trace_flash,
-    "onboard": generate_trace_onboard,
-}
+#: every paper experiment by name, in report order (``repro run <name>``)
+EXPERIMENTS: Dict[str, Callable[..., Report]] = {}
 
 
-#: per-family namespace-size knob scaled by ``ExperimentScale.tree_scale``
-#: (kwarg name, paper-default value) — see :func:`build_workload`
-_TREE_SIZE_KNOB = {
-    "rw": ("n_modules", 32),
-    "ro": ("n_dirs", 3000),
-    "wi": ("n_tenants", 50),
-    "mdtest": ("n_ranks", 32),
-    "diurnal": ("n_tenants", 24),
-    "flash": ("n_tenants", 24),
-    "onboard": ("n_tenants", 24),
-}
+def experiment(fn):
+    """Register ``fn`` in :data:`EXPERIMENTS` under its own name."""
+    EXPERIMENTS[fn.__name__] = fn
+    return fn
 
 
 def build_workload(kind: str, n_ops: int, seed: int, tree_scale: float = 1.0):
     """Deterministically (re)build a workload; a fresh tree every call, since
     DES runs mutate the namespace.
 
-    ``tree_scale`` multiplies each family's namespace-size knob (modules /
-    dirs / tenants / ranks).  At the default 1.0 the knob is **not passed**
-    at all, so every pre-existing tier replays the exact historical RNG
-    sequence; the ``large`` tier uses 256.0 to reach ~1M inodes on ``wi``.
+    ``tree_scale`` multiplies the family's namespace-size keyword (modules /
+    dirs / tenants / ranks, see :data:`repro.workloads.WORKLOADS`) over the
+    generator's own default.  At 1.0 the keyword is **not passed** at all,
+    so every pre-existing tier replays the exact historical RNG sequence;
+    the ``large`` tier uses 256.0 to reach ~1M inodes on ``wi``.
     """
+    generate, size_kw = WORKLOADS[kind]
     ssf = SeedSequenceFactory(seed)
     kwargs = {}
     if tree_scale != 1.0:
-        knob, base = _TREE_SIZE_KNOB[kind]
-        kwargs[knob] = max(1, int(round(base * tree_scale)))
+        base = inspect.signature(generate).parameters[size_kw].default
+        kwargs[size_kw] = max(1, int(round(base * tree_scale)))
     with PROFILER.phase("build_workload"):
-        return _WORKLOADS[kind](ssf.stream(f"workload-{kind}"), n_ops=n_ops, **kwargs)
+        return generate(ssf.stream(f"workload-{kind}"), n_ops=n_ops, **kwargs)
+
+
+def training_set(built, trace, ops_per_epoch: int):
+    """Meta-OPT benefit labels for a built workload: the one recipe every
+    model of the evaluation (and ``repro train``) fits."""
+    dataset, _ = collect_training_data(
+        built.tree, trace, n_mds=5, params=default_params(), delta=50.0,
+        ops_per_epoch=ops_per_epoch,
+    )
+    return dataset
 
 
 @functools.lru_cache(maxsize=16)
 def origami_model(kind: str, scale_name: str, seed: int = 7):
     """Train (and cache) the benefit model for a workload family."""
     scale = get_scale(scale_name)
-    params = default_params()
     built, trace = build_workload(kind, scale.train_ops, seed)
     with PROFILER.phase("train_model"):
-        dataset, _ = collect_training_data(
-            built.tree,
-            trace,
-            n_mds=5,
-            params=params,
-            delta=50.0,
-            ops_per_epoch=scale.train_epoch_ops,
-        )
+        dataset = training_set(built, trace, scale.train_epoch_ops)
         return train_origami_model(dataset, n_estimators=scale.gbdt_rounds)
 
 
+#: strategy name -> factory(kind, scale) returning (policy, default MDS count)
+STRATEGY_FACTORIES: Dict[str, Callable] = {
+    "Single": lambda kind, scale: (SingleMdsPolicy(), 1),
+    "Even": lambda kind, scale: (EvenPartitionPolicy(), 5),
+    "C-Hash": lambda kind, scale: (CoarseHashPolicy(), 5),
+    "F-Hash": lambda kind, scale: (FineHashPolicy(), 5),
+    "Lunule": lambda kind, scale: (LunulePolicy(), 5),
+    "ML-tree": lambda kind, scale: (MLTreePolicy(), 5),
+    "AdaM-RL": lambda kind, scale: (AdamRLPolicy(), 5),
+    "Origami": lambda kind, scale: (
+        OrigamiPolicy(
+            origami_model(kind, scale.name), max_moves_per_epoch=8, cooldown_epochs=2
+        ),
+        5,
+    ),
+    "Origami-online": lambda kind, scale: (
+        OnlineOrigamiPolicy(
+            delta=50.0, retrain_every=3, min_samples=400,
+            gbdt_rounds=min(scale.gbdt_rounds, 60),
+            max_moves_per_epoch=8, cooldown_epochs=2,
+        ),
+        5,
+    ),
+    "Meta-OPT": lambda kind, scale: (
+        MetaOptOraclePolicy(delta=50.0, max_migrations_per_epoch=8), 5
+    ),
+}
+
+
 def make_policy(name: str, kind: str, scale: ExperimentScale):
-    if name == "Single":
-        return SingleMdsPolicy(), 1
-    if name == "Even":
-        return EvenPartitionPolicy(), 5
-    if name == "C-Hash":
-        return CoarseHashPolicy(), 5
-    if name == "F-Hash":
-        return FineHashPolicy(), 5
-    if name == "Lunule":
-        return LunulePolicy(), 5
-    if name == "ML-tree":
-        return MLTreePolicy(), 5
-    if name == "Origami":
-        model = origami_model(kind, scale.name)
-        return OrigamiPolicy(model, max_moves_per_epoch=8, cooldown_epochs=2), 5
-    if name == "Origami-online":
-        from repro.training.online import OnlineOrigamiPolicy
-
-        return (
-            OnlineOrigamiPolicy(
-                delta=50.0, retrain_every=3, min_samples=400,
-                gbdt_rounds=min(scale.gbdt_rounds, 60),
-                max_moves_per_epoch=8, cooldown_epochs=2,
-            ),
-            5,
-        )
-    if name == "AdaM-RL":
-        from repro.balancers.adam_rl import AdamRLPolicy
-
-        return AdamRLPolicy(), 5
-    if name == "Meta-OPT":
-        return MetaOptOraclePolicy(delta=50.0, max_migrations_per_epoch=8), 5
-    raise ValueError(f"unknown strategy {name!r}")
+    """A fresh ``(policy, default MDS count)`` for a strategy name."""
+    try:
+        factory = STRATEGY_FACTORIES[name]
+    except KeyError:
+        raise ValueError(f"unknown strategy {name!r}") from None
+    return factory(kind, scale)
 
 
 def run_strategy(
@@ -212,11 +189,21 @@ def run_strategy(
         return run_simulation(built.tree, trace, policy, config)
 
 
+def _scenario_results(name: str, scale: ExperimentScale, seed: int) -> Dict[str, SimResult]:
+    """Run every variant of a registered bench scenario through the bench
+    execution path, keyed by variant name (in registry order)."""
+    scn = get_bench_scenario(name)
+    return {
+        v.name: run_bench_variant(scn, v, seed=seed, scale=scale)[0] for v in scn.variants
+    }
+
+
 # =====================================================================
 # Motivation: Fig. 2 — even per-directory partitioning considered harmful
 # =====================================================================
 
 
+@experiment
 def fig2_even_partitioning(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Fig. 2: per-MDS + aggregate throughput and JCT, 1 MDS vs 5-MDS even.
 
@@ -228,8 +215,8 @@ def fig2_even_partitioning(scale: Optional[ExperimentScale] = None, seed: int = 
         "Fig 2 — even per-directory partitioning (web workload)",
         "Paper: aggregate ~1.4x a single MDS; JCT reduced by only ~57%",
     )
-    single = run_strategy("Single", "ro", scale, seed=seed)
-    even = run_strategy("Even", "ro", scale, seed=seed)
+    runs = _scenario_results("fig2_even_partitioning", scale, seed)
+    single, even = runs["Single"], runs["Even"]
 
     s_tput = single.steady_state_throughput()
     e_tput = even.steady_state_throughput()
@@ -264,11 +251,9 @@ _PAPER_FIG5_TPUT = {"Single": 1.0, "C-Hash": 2.23, "F-Hash": 1.54, "ML-tree": 1.
 _PAPER_FIG5_LAT = {"Single": 1.0, "C-Hash": 1.439, "F-Hash": 1.891, "ML-tree": 1.293, "Origami": 1.242}
 
 
-def fig5_overall(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Tuple[Report, Dict[str, SimResult]]:
-    """Fig. 5: aggregate throughput under high load + single-thread latency.
-
-    Returns the report and the raw high-load results (fig6/fig7 reuse them).
-    """
+@experiment
+def fig5_overall(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
+    """Fig. 5: aggregate throughput under high load + single-thread latency."""
     scale = scale or get_scale()
     rep = Report(
         "Fig 5 — overall performance (Trace-RW)",
@@ -277,14 +262,9 @@ def fig5_overall(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Tup
     # the high-load matrix is the registered `fig5_overall` bench scenario:
     # the paper figure and `repro bench run --scenario fig5_overall` share
     # one config source and one execution path
-    scn = get_bench_scenario("fig5_overall")
-    results: Dict[str, SimResult] = {}
     rows = []
     base = None
-    for variant in scn.variants:
-        name = variant.strategy
-        r, _ = run_bench_variant(scn, variant, seed=seed, scale=scale)
-        results[name] = r
+    for name, r in _scenario_results("fig5_overall", scale, seed).items():
         tput = r.steady_state_throughput(0.4)
         if base is None:
             base = tput
@@ -299,7 +279,7 @@ def fig5_overall(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Tup
 
     lat_rows = []
     lat_base = None
-    for name in STRATEGIES:
+    for name in FIGURE_STRATEGIES:
         r = run_strategy(name, "rw", scale, seed=seed, n_clients=1, n_ops=scale.n_ops // 4)
         lat = r.mean_latency_ms
         if lat_base is None:
@@ -312,7 +292,7 @@ def fig5_overall(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Tup
     )
     rep.put("throughput_x", {r[0]: r[2] for r in rows})
     rep.put("latency_x", {r[0]: r[2] for r in lat_rows})
-    return rep, results
+    return rep
 
 
 # =====================================================================
@@ -322,29 +302,20 @@ def fig5_overall(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Tup
 _PAPER_FIG6_QPS = {"C-Hash": 0.37, "F-Hash": 0.33, "ML-tree": 0.35, "Origami": 0.34}
 
 
-def fig6_imbalance(
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 42,
-    results: Optional[Dict[str, SimResult]] = None,
-) -> Report:
+@experiment
+def fig6_imbalance(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Fig. 6: imbalance factor on QPS / RPCs / Inodes / BusyTime.
 
     Paper: F-Hash most even on QPS/RPCs/Inodes; Origami lowest on BusyTime
     (−48.3% vs F-Hash) — "keeping all MDSs busy beats even partitioning".
     """
     scale = scale or get_scale()
-    if results is None:
-        results = {
-            name: run_strategy(name, "rw", scale, seed=seed)
-            for name in STRATEGIES
-            if name != "Single"
-        }
     rep = Report(
         "Fig 6 — imbalance factors (Trace-RW)",
         "Paper: F-Hash most even on QPS/RPCs/Inodes; Origami lowest BusyTime imbalance",
     )
     rows = []
-    for name, r in results.items():
+    for name, r in _scenario_results("fig5_overall", scale, seed).items():
         if r.n_mds == 1:
             continue
         imb = r.imbalance()
@@ -369,6 +340,7 @@ _PAPER_TABLE1_RANKS = {
 }
 
 
+@experiment
 def table1_features(scale: Optional[ExperimentScale] = None, seed: int = 7) -> Report:
     """Table 1: Gini (split-gain) importance ranks of the 7 features.
 
@@ -380,13 +352,8 @@ def table1_features(scale: Optional[ExperimentScale] = None, seed: int = 7) -> R
     from repro.ml.dataset import TrainingSet
 
     merged = TrainingSet()
-    params = default_params()
     for kind in ("rw", "ro", "wi"):
-        built, trace = build_workload(kind, scale.train_ops, seed)
-        ds, _ = collect_training_data(
-            built.tree, trace, n_mds=5, params=params, delta=50.0,
-            ops_per_epoch=scale.train_epoch_ops,
-        )
+        ds = training_set(*build_workload(kind, scale.train_ops, seed), scale.train_epoch_ops)
         merged.X_parts.extend(ds.X_parts)
         merged.y_parts.extend(ds.y_parts)
     model = train_origami_model(merged, n_estimators=scale.gbdt_rounds)
@@ -418,6 +385,7 @@ _PAPER_TABLE2 = {
 }
 
 
+@experiment
 def table2_cache(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Table 2: throughput and RPC/request with and without the near-root cache."""
     scale = scale or get_scale()
@@ -469,19 +437,15 @@ def table2_cache(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Rep
 # =====================================================================
 
 
-def fig7_efficiency(
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 42,
-    results: Optional[Dict[str, SimResult]] = None,
-) -> Report:
+@experiment
+def fig7_efficiency(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Fig. 7: per-epoch efficiency (busy fraction), normalised to 1 MDS.
 
     Paper: hash strategies run at persistently lower efficiency; ML-tree pays
     heavy balancing overhead; Origami converges to near-single-MDS efficiency.
     """
     scale = scale or get_scale()
-    if results is None:
-        results = {name: run_strategy(name, "rw", scale, seed=seed) for name in STRATEGIES}
+    results = _scenario_results("fig5_overall", scale, seed)
     rep = Report(
         "Fig 7 — efficiency over time (busy fraction, normalised to single MDS)",
         "Each row: efficiency per epoch (earliest first)",
@@ -505,6 +469,7 @@ def fig7_efficiency(
 _PAPER_FIG8_ORIGAMI = {2: 1.9, 3: 2.7, 4: 3.3, 5: 3.86}
 
 
+@experiment
 def fig8_scalability(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Fig. 8: normalised throughput as MDS count grows 1→5.
 
@@ -517,23 +482,14 @@ def fig8_scalability(scale: Optional[ExperimentScale] = None, seed: int = 42) ->
         "Normalised aggregate throughput vs number of MDSs; paper: Origami near-linear",
     )
     # the strategy×cluster-size matrix is the registered `fig8_scalability`
-    # bench scenario — one config source for the figure and the perf runner
-    scn = get_bench_scenario("fig8_scalability")
-    by_strategy: Dict[str, List] = {}
-    for variant in scn.variants:
-        by_strategy.setdefault(variant.strategy, []).append(variant)
-    base_variant = by_strategy.pop("Single")[0]
-    base_run, _ = run_bench_variant(scn, base_variant, seed=seed, scale=scale)
-    base = base_run.steady_state_throughput(0.4)
-    rows = []
+    # bench scenario — one config source for the figure and the perf runner;
+    # its variants list each strategy's cluster sizes in ascending order
+    results = _scenario_results("fig8_scalability", scale, seed)
+    base = results.pop("Single-1mds").steady_state_throughput(0.4)
     data: Dict[str, List[float]] = {}
-    for name, variants in by_strategy.items():
-        vals = []
-        for variant in sorted(variants, key=lambda v: v.n_mds):
-            r, _ = run_bench_variant(scn, variant, seed=seed, scale=scale)
-            vals.append(r.steady_state_throughput(0.4) / base)
-        rows.append([name, *[round(v, 2) for v in vals]])
-        data[name] = vals
+    for r in results.values():
+        data.setdefault(r.strategy, []).append(r.steady_state_throughput(0.4) / base)
+    rows = [[name, *[round(v, 2) for v in vals]] for name, vals in data.items()]
     rep.add_table(["strategy", "2 MDS", "3 MDS", "4 MDS", "5 MDS"], rows)
     rep.put("scalability", data)
     rep.put("paper_origami", _PAPER_FIG8_ORIGAMI)
@@ -547,6 +503,7 @@ def fig8_scalability(scale: Optional[ExperimentScale] = None, seed: int = 42) ->
 _PAPER_FIG9_GAIN = {"rw": 1.733, "ro": 1.543, "wi": 1.125}
 
 
+@experiment
 def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Fig. 9: throughput on Trace-RW / Trace-RO / Trace-WI, without and with
     the data path.
@@ -566,7 +523,7 @@ def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> R
     for kind, label in (("rw", "Trace-RW"), ("ro", "Trace-RO"), ("wi", "Trace-WI")):
         meta: Dict[str, float] = {}
         e2e: Dict[str, float] = {}
-        for name in STRATEGIES:
+        for name in FIGURE_STRATEGIES:
             r = run_strategy(name, kind, scale, seed=seed)
             meta[name] = r.steady_state_throughput(0.4)
             rd = run_strategy(name, kind, scale, seed=seed, datapath=datapath)
@@ -575,21 +532,21 @@ def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> R
         second_best = max(v for k, v in meta.items() if k != "Origami")
         gain = meta["Origami"] / second_best
         meta_rows.append(
-            [label, *[round(meta[n] / 1000, 1) for n in STRATEGIES], round(gain, 2), _PAPER_FIG9_GAIN[kind]]
+            [label, *[round(meta[n] / 1000, 1) for n in FIGURE_STRATEGIES], round(gain, 2), _PAPER_FIG9_GAIN[kind]]
         )
         sb_e2e = max(v for k, v in e2e.items() if k != "Origami")
         e2e_rows.append(
-            [label, *[round(e2e[n] / 1000, 1) for n in STRATEGIES], round(e2e["Origami"] / sb_e2e if sb_e2e else 0.0, 2)]
+            [label, *[round(e2e[n] / 1000, 1) for n in FIGURE_STRATEGIES], round(e2e["Origami"] / sb_e2e if sb_e2e else 0.0, 2)]
         )
         data["meta"][kind] = meta
         data["e2e"][kind] = e2e
     rep.add_table(
-        ["trace", *STRATEGIES, "gain vs 2nd", "paper gain"],
+        ["trace", *FIGURE_STRATEGIES, "gain vs 2nd", "paper gain"],
         meta_rows,
         "Fig 9a: metadata throughput (kops/s)",
     )
     rep.add_table(
-        ["trace", *STRATEGIES, "gain vs 2nd"],
+        ["trace", *FIGURE_STRATEGIES, "gain vs 2nd"],
         e2e_rows,
         "Fig 9b: end-to-end file throughput (kops/s, data path on)",
     )
@@ -602,6 +559,7 @@ def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> R
 # =====================================================================
 
 
+@experiment
 def theorem1_gap(seed: int = 0, n_instances: int = 6) -> Report:
     """Empirical Theorem 1: greedy JCT minus exhaustive-optimal JCT < Δ."""
     from repro.namespace.builder import build_balanced
@@ -644,6 +602,7 @@ def theorem1_gap(seed: int = 0, n_instances: int = 6) -> Report:
 # =====================================================================
 
 
+@experiment
 def ablation_delta(scale: Optional[ExperimentScale] = None, seed: int = 7) -> Report:
     """Δ sensitivity: Meta-OPT's imbalance guard vs achieved JCT and #moves."""
     scale = scale or get_scale()
@@ -667,6 +626,7 @@ def ablation_delta(scale: Optional[ExperimentScale] = None, seed: int = 7) -> Re
     return rep
 
 
+@experiment
 def ablation_cache_depth(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Near-root cache depth vs RPC/request and throughput (Origami)."""
     scale = scale or get_scale()
@@ -684,15 +644,11 @@ def ablation_cache_depth(scale: Optional[ExperimentScale] = None, seed: int = 42
     return rep
 
 
+@experiment
 def ablation_models(scale: Optional[ExperimentScale] = None, seed: int = 7) -> Report:
     """Model families: accuracy differs, decisions agree (§4.3 observation)."""
     scale = scale or get_scale()
-    params = default_params()
-    built, trace = build_workload("rw", scale.train_ops, seed)
-    dataset, _ = collect_training_data(
-        built.tree, trace, n_mds=5, params=params, delta=50.0,
-        ops_per_epoch=scale.train_epoch_ops,
-    )
+    dataset = training_set(*build_workload("rw", scale.train_ops, seed), scale.train_epoch_ops)
     reports = train_models(dataset, seed=seed, gbdt_rounds=scale.gbdt_rounds)
     rep = Report(
         "Ablation — model families",
@@ -708,6 +664,7 @@ def ablation_models(scale: Optional[ExperimentScale] = None, seed: int = 7) -> R
     return rep
 
 
+@experiment
 def ablation_epoch_length(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Epoch length: balancing reactivity vs churn."""
     scale = scale or get_scale()
@@ -729,6 +686,7 @@ def ablation_epoch_length(scale: Optional[ExperimentScale] = None, seed: int = 4
     return rep
 
 
+@experiment
 def ablation_online_learning(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Extension: online continual learning vs offline training.
 
@@ -737,8 +695,6 @@ def ablation_online_learning(scale: Optional[ExperimentScale] = None, seed: int 
     paper's "ML-native" framing taken to its conclusion.  Compared against
     the offline-trained Origami, the popularity baseline, and the heuristic.
     """
-    from repro.training.online import OnlineOrigamiPolicy
-
     scale = scale or get_scale()
     rep = Report(
         "Ablation — online continual learning (Trace-RW)",
@@ -763,22 +719,11 @@ def ablation_online_learning(scale: Optional[ExperimentScale] = None, seed: int 
         data[label] = tput
         return r
 
-    run_policy("Single", SingleMdsPolicy(), n_mds=1)
-    run_policy("ML-tree", MLTreePolicy())
-    run_policy("Lunule", LunulePolicy())
-    from repro.balancers.adam_rl import AdamRLPolicy
-
+    for name in ("Single", "ML-tree", "Lunule"):
+        run_policy(name, *make_policy(name, "rw", scale))
     run_policy("AdaM-RL", AdamRLPolicy(seed=seed))
-    run_policy(
-        "Origami-online",
-        OnlineOrigamiPolicy(
-            delta=50.0, retrain_every=3, min_samples=400,
-            gbdt_rounds=min(scale.gbdt_rounds, 60),
-            max_moves_per_epoch=8, cooldown_epochs=2,
-        ),
-    )
-    model = origami_model("rw", scale.name)
-    run_policy("Origami (offline)", OrigamiPolicy(model, max_moves_per_epoch=8, cooldown_epochs=2))
+    run_policy("Origami-online", *make_policy("Origami-online", "rw", scale))
+    run_policy("Origami (offline)", *make_policy("Origami", "rw", scale))
     rep.add_table(
         ["policy", "kops/s", "rpc/req", "migrations", "retrains"], rows
     )
@@ -786,6 +731,7 @@ def ablation_online_learning(scale: Optional[ExperimentScale] = None, seed: int 
     return rep
 
 
+@experiment
 def ablation_mdtest_uniform(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Calibration: a perfectly uniform mdtest workload.
 
@@ -814,6 +760,7 @@ def ablation_mdtest_uniform(scale: Optional[ExperimentScale] = None, seed: int =
     return rep
 
 
+@experiment
 def ablation_cache_design(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Report:
     """Extension: quantify §4.2's cache-design claim.
 

@@ -14,6 +14,10 @@ The evaluation replays three real-world-shaped traces (§5.1):
 A :class:`~repro.workloads.trace.Trace` is column-oriented (NumPy arrays) so
 the analytic cost model evaluates it vectorised; names are kept alongside for
 the DES replay, which materialises creations/deletions in the namespace.
+
+:data:`WORKLOADS` is the one list of workload families: the harness builds
+from it, bench scenarios validate their ``kind`` against it, and the CLI
+offers its keys as choices.
 """
 
 from repro.workloads.cloud_wi import generate_trace_wi
@@ -28,6 +32,7 @@ from repro.workloads.trace import Trace, TraceBuilder
 from repro.workloads.web_ro import generate_trace_ro
 
 __all__ = [
+    "WORKLOADS",
     "Trace",
     "TraceBuilder",
     "generate_trace_rw",
@@ -38,3 +43,15 @@ __all__ = [
     "generate_trace_flash",
     "generate_trace_onboard",
 ]
+
+#: workload family -> (generator, the keyword that sizes its namespace);
+#: ``build_workload`` scales that keyword's default by ``tree_scale``
+WORKLOADS = {
+    "rw": (generate_trace_rw, "n_modules"),
+    "ro": (generate_trace_ro, "n_dirs"),
+    "wi": (generate_trace_wi, "n_tenants"),
+    "mdtest": (generate_trace_mdtest, "n_ranks"),
+    "diurnal": (generate_trace_diurnal, "n_tenants"),
+    "flash": (generate_trace_flash, "n_tenants"),
+    "onboard": (generate_trace_onboard, "n_tenants"),
+}

@@ -24,6 +24,17 @@ def test_experiments_listing(capsys):
     assert "theorem1_gap" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "Lunule", "rw", "--ops", "500"],
+    ["run", "fig2_even_partitioning"],
+])
+def test_bad_scale_env_is_a_usage_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv("REPRO_SCALE", "bogus")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {argv[0]}: unknown scale 'bogus'; choose from [")
+
+
 def test_workload_description(capsys):
     assert main(["workload", "rw", "--ops", "3000"]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,14 @@ import pytest
 from repro.fs import SimResult
 from repro.fs.metrics import EpochMetrics
 from repro.harness.config import SCALES, default_params, get_scale
+from repro.harness.experiments import (
+    STRATEGY_FACTORIES,
+    build_workload,
+    run_strategy,
+)
 from repro.harness.report import Report, format_table
+from repro.sim import SeedSequenceFactory
+from repro.workloads import WORKLOADS
 
 
 # ------------------------------------------------------------------- report
@@ -76,6 +83,33 @@ def test_default_params_cache():
     p = default_params()
     assert p.cache_depth == 2
     assert default_params(0).cache_depth == 0
+
+
+# ------------------------------------------------ strategy / workload tables
+
+
+@pytest.mark.parametrize("name", list(STRATEGY_FACTORIES))
+def test_every_strategy_replays_a_trace_without_losing_ops(name):
+    n_ops = 2000
+    r = run_strategy(name, "rw", get_scale("smoke"), seed=5, n_clients=6, n_ops=n_ops)
+    assert r.strategy == name
+    assert r.ops_completed + r.vanished_ops + r.fault_failed_ops == n_ops
+
+
+def _columns(trace):
+    think = None if trace.think_ms is None else trace.think_ms.tolist()
+    return trace.op.tolist(), trace.dir_ino.tolist(), trace.aux.tolist(), trace.names, think
+
+
+@pytest.mark.parametrize("kind", list(WORKLOADS))
+def test_tree_scale_sizes_every_workload_family(kind):
+    built, trace = build_workload(kind, 600, seed=3)
+    bigger, _ = build_workload(kind, 600, seed=3, tree_scale=2.0)
+    assert len(bigger.tree) > len(built.tree)
+    # at 1.0 no size keyword is passed: the generator's defaults, exactly
+    generate, _ = WORKLOADS[kind]
+    _, direct = generate(SeedSequenceFactory(3).stream(f"workload-{kind}"), n_ops=600)
+    assert _columns(trace) == _columns(direct)
 
 
 # --------------------------------------------------------------- sim result
