@@ -10,11 +10,16 @@ This script keeps that loop reproducible:
     PYTHONPATH=src python scripts/profile_hotpath.py --kind wi --scale smoke
     PYTHONPATH=src python scripts/profile_hotpath.py --sort cumtime --top 40
     PYTHONPATH=src python scripts/profile_hotpath.py --repeat 3   # throughput too
+    PYTHONPATH=src python scripts/profile_hotpath.py --strategy Origami --kind wi --scale smoke
 
 ``--repeat N`` additionally reports the un-profiled engine throughput
 (``engine_events_per_wall_sec``, best of N) — the headline number the
 ``scale_large_hotpath``/default-tier acceptance gates track — since cProfile
 instrumentation itself roughly halves it.
+
+``--strategy`` picks the balancing policy (default Lunule); Origami's
+balancer epoch (feature extraction, GBDT inference, greedy search) only
+shows up in its profile.
 
 The same table is available on any simulation via ``repro simulate
 --profile``; this helper just fixes the configuration to the one the
@@ -30,10 +35,10 @@ import pstats
 import sys
 
 
-def run(kind: str, scale, seed: int):
+def run(strategy: str, kind: str, scale, seed: int):
     from repro.harness.experiments import run_strategy
 
-    return run_strategy("Lunule", kind, scale, seed=seed)
+    return run_strategy(strategy, kind, scale, seed=seed)
 
 
 def _hotspot_rows(stats: pstats.Stats, top: int) -> list:
@@ -56,9 +61,11 @@ def _hotspot_rows(stats: pstats.Stats, top: int) -> list:
 
 def main(argv=None) -> int:
     from repro.harness.config import SCALES
+    from repro.harness.experiments import STRATEGY_FACTORIES
     from repro.workloads import WORKLOADS
 
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--strategy", default="Lunule", choices=tuple(STRATEGY_FACTORIES))
     ap.add_argument("--kind", default="rw", choices=tuple(WORKLOADS))
     ap.add_argument("--scale", default="default", choices=tuple(SCALES))
     ap.add_argument("--seed", type=int, default=42)
@@ -76,13 +83,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     scale = SCALES[args.scale]
-    print(f"profiling Lunule on Trace-{args.kind.upper()}, scale={scale.name} "
+    print(f"profiling {args.strategy} on Trace-{args.kind.upper()}, scale={scale.name} "
           f"({scale.n_ops:,} ops, {scale.n_clients:,} clients, "
           f"tree_scale={scale.tree_scale:g}), seed={args.seed}")
 
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run(args.kind, scale, args.seed)
+    result = run(args.strategy, args.kind, scale, args.seed)
     profiler.disable()
 
     print(f"run: {result.ops_completed:,} ops, {result.engine_events:,} engine "
@@ -96,7 +103,7 @@ def main(argv=None) -> int:
     if args.repeat > 0:
         best = 0.0
         for i in range(args.repeat):
-            r = run(args.kind, scale, args.seed)
+            r = run(args.strategy, args.kind, scale, args.seed)
             rate = r.engine_events_per_wall_sec
             best = max(best, rate)
             print(f"un-profiled pass {i + 1}/{args.repeat}: {rate:,.0f} ev/s")
@@ -104,6 +111,7 @@ def main(argv=None) -> int:
 
     if args.json_path:
         payload = {
+            "strategy": args.strategy,
             "kind": args.kind,
             "scale": scale.name,
             "seed": args.seed,

@@ -21,7 +21,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.balancers.base import BalancePolicy, EpochContext, LunuleTrigger, subtree_loads
+from repro.balancers.base import (
+    BalancePolicy,
+    EpochContext,
+    hottest_source,
+    plan_evacuations,
+    subtree_loads,
+)
 from repro.balancers.lunule import plan_exports
 from repro.cluster.imbalance import imbalance_factor
 from repro.cluster.migration import MigrationDecision
@@ -99,9 +105,14 @@ class AdamRLPolicy(BalancePolicy):
 
     # ------------------------------------------------------------- rebalance
     def rebalance(self, ctx: EpochContext) -> List[MigrationDecision]:
+        # dead MDSs are evacuated first, whatever the agent decides
+        evacuations = plan_evacuations(ctx)
         loads = np.asarray(ctx.mds_load, dtype=np.float64)
+        pool = ctx.pool_mask()  # parked capacity is not imbalance
+        if pool is not None:
+            loads = loads[pool]
         if loads.size <= 1 or loads.sum() <= 0:
-            return []
+            return evacuations
         state = self._state(loads)
         self._learn(state, loads)
 
@@ -114,8 +125,8 @@ class AdamRLPolicy(BalancePolicy):
 
         max_moves, budget_mult = _ACTIONS[action]
         decisions: List[MigrationDecision] = []
-        if max_moves > 0:
-            src = int(np.argmax(loads))
+        src = hottest_source(ctx) if max_moves > 0 else None
+        if src is not None:
             sub = subtree_loads(ctx)
             moves = plan_exports(ctx, sub, src, max_moves, aggressiveness=budget_mult)
             decisions = [
@@ -123,4 +134,4 @@ class AdamRLPolicy(BalancePolicy):
                 for s, dst in moves
             ]
         self._pending = (state, action, len(decisions))
-        return decisions
+        return evacuations + decisions

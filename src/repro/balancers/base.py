@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # type-only: avoids a package-import cycle with repro.workloads
     from repro.workloads.trace import Trace
 
-__all__ = ["EpochContext", "BalancePolicy", "LunuleTrigger", "plan_evacuations"]
+__all__ = ["EpochContext", "BalancePolicy", "LunuleTrigger", "hottest_source", "plan_evacuations"]
 
 
 @dataclass
@@ -239,6 +239,20 @@ def plan_evacuations(ctx: EpochContext) -> List[MigrationDecision]:
         pmap.assign_dir(int(d), dst)
         est[dst] += float(sub[int(d)]) * ms_per_op + 1e-9
     return decisions
+
+
+def hottest_source(ctx: EpochContext) -> Optional[int]:
+    """The most-loaded MDS that may export, or None when none may.
+
+    Dead, draining and parked MDSs (``ctx.dst_mask()``) are neither sources
+    nor destinations: their authority is :func:`plan_evacuations`' business.
+    """
+    loads = np.asarray(ctx.mds_load, dtype=np.float64)
+    src_ok = ctx.dst_mask()
+    if src_ok is not None:
+        loads = np.where(src_ok, loads, -np.inf)
+    src = int(np.argmax(loads))
+    return src if np.isfinite(loads[src]) else None
 
 
 def subtree_loads(ctx: EpochContext) -> np.ndarray:

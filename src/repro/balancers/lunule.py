@@ -20,6 +20,7 @@ from repro.balancers.base import (
     BalancePolicy,
     EpochContext,
     LunuleTrigger,
+    hottest_source,
     plan_evacuations,
     subtree_loads,
 )
@@ -126,12 +127,8 @@ class LunulePolicy(BalancePolicy):
         evacuations = plan_evacuations(ctx)
         if not self.trigger.should_rebalance(ctx.mds_load, ctx.pool_mask()):
             return evacuations
-        loads = np.asarray(ctx.mds_load, dtype=np.float64)
-        src_ok = ctx.dst_mask()  # dead/draining/parked: neither src nor dst
-        if src_ok is not None:
-            loads = np.where(src_ok, loads, -np.inf)
-        src = int(np.argmax(loads))
-        if not np.isfinite(loads[src]):
+        src = hottest_source(ctx)
+        if src is None:
             return evacuations
         sub_loads = subtree_loads(ctx)
         moves = plan_exports(ctx, sub_loads, src, self.max_moves)

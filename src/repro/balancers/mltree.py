@@ -15,7 +15,13 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
-from repro.balancers.base import BalancePolicy, EpochContext, LunuleTrigger, subtree_loads
+from repro.balancers.base import (
+    BalancePolicy,
+    EpochContext,
+    LunuleTrigger,
+    hottest_source,
+    plan_evacuations,
+)
 from repro.balancers.lunule import dir_op_counts, plan_exports
 from repro.cluster.migration import MigrationDecision
 from repro.ml.dataset import FeatureExtractor
@@ -73,10 +79,13 @@ class MLTreePolicy(BalancePolicy):
         return out
 
     def rebalance(self, ctx: EpochContext) -> List[MigrationDecision]:
-        if not self.trigger.should_rebalance(ctx.mds_load):
-            return []
-        loads = np.asarray(ctx.mds_load, dtype=np.float64)
-        src = int(np.argmax(loads))
+        # dead MDSs are evacuated first, whatever the trigger says
+        evacuations = plan_evacuations(ctx)
+        if not self.trigger.should_rebalance(ctx.mds_load, ctx.pool_mask()):
+            return evacuations
+        src = hottest_source(ctx)
+        if src is None:
+            return evacuations
         pred_loads = self._predicted_dir_loads(ctx)
         # pin recently-moved subtrees for a few epochs (anti-ping-pong)
         for s_root, moved_at in list(self._last_moved.items()):
@@ -90,7 +99,7 @@ class MLTreePolicy(BalancePolicy):
         )
         for s_root, _dst in moves:
             self._last_moved[s_root] = ctx.epoch
-        return [
+        return evacuations + [
             MigrationDecision(s, src, dst, predicted_benefit=float(pred_loads[s]))
             for s, dst in moves
         ]

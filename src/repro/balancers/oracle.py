@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.balancers.base import BalancePolicy, EpochContext, LunuleTrigger
+from repro.balancers.base import BalancePolicy, EpochContext, LunuleTrigger, plan_evacuations
 from repro.cluster.migration import MigrationDecision
 from repro.core.metaopt import meta_opt
 
@@ -37,10 +37,12 @@ class MetaOptOraclePolicy(BalancePolicy):
         self.max_migrations = max_migrations_per_epoch
 
     def rebalance(self, ctx: EpochContext) -> List[MigrationDecision]:
+        # dead MDSs are evacuated first, whatever the trigger says
+        evacuations = plan_evacuations(ctx)
         if ctx.oracle_window is None or len(ctx.oracle_window) == 0:
-            return []
-        if not self.trigger.should_rebalance(ctx.mds_load):
-            return []
+            return evacuations
+        if not self.trigger.should_rebalance(ctx.mds_load, ctx.pool_mask()):
+            return evacuations
         result = meta_opt(
             ctx.oracle_window,
             ctx.tree,
@@ -49,6 +51,7 @@ class MetaOptOraclePolicy(BalancePolicy):
             delta=self.delta,
             stop_threshold=self.stop_threshold,
             max_migrations=self.max_migrations,
+            eligible=ctx.dst_mask(),  # dead/draining/parked: neither src nor dst
         )
         if result.decisions:
             # the "candidate set" of a search is what it chose to evaluate;
@@ -57,4 +60,4 @@ class MetaOptOraclePolicy(BalancePolicy):
                 [d.subtree_root for d in result.decisions],
                 [d.predicted_benefit for d in result.decisions],
             )
-        return result.decisions
+        return evacuations + result.decisions

@@ -67,13 +67,15 @@ def meta_opt(
     delta: float,
     stop_threshold: float = 0.0,
     max_migrations: Optional[int] = None,
+    eligible: Optional[np.ndarray] = None,
 ) -> MetaOptResult:
     """Run Algorithm 1 and return the migration decision list.
 
     ``delta`` — the imbalance guard Δ: a move is admissible only if, after
     it, ``dst.rct - src.rct < Δ`` (line 9).  ``stop_threshold`` — stop when
     the best benefit drops to or below this (line 16); the paper leaves the
-    threshold free, 0 means "any strict improvement".
+    threshold free, 0 means "any strict improvement".  ``eligible`` — per-MDS
+    mask of the servers a move may leave or land on (None: all of them).
     """
     if delta <= 0:
         raise ValueError("delta must be positive (it bounds post-move imbalance)")
@@ -90,8 +92,12 @@ def meta_opt(
         best: Optional[Tuple[float, int, int, int]] = None  # (benefit, s, src, dst)
         n_admissible = 0
         for dst in range(work.n_mds):
+            if eligible is not None and not eligible[dst]:
+                continue
             ev = ledger.evaluate_dst(dst)
             mask = ev.valid & (ev.benefit > stop_threshold) & (ev.dst_minus_src < delta)
+            if eligible is not None:
+                mask &= eligible[ledger.cand_owner]
             n_admissible += int(mask.sum())
             if not mask.any():
                 continue

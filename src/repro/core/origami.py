@@ -24,6 +24,7 @@ from repro.balancers.base import (
     BalancePolicy,
     EpochContext,
     LunuleTrigger,
+    hottest_source,
     plan_evacuations,
     subtree_loads,
 )
@@ -156,11 +157,8 @@ class OrigamiPolicy(BalancePolicy):
             from repro.balancers.lunule import plan_exports
 
             raw = subtree_loads(ctx)
-            observed = np.asarray(ctx.mds_load, dtype=np.float64)
-            if src_ok is not None:
-                observed = np.where(src_ok, observed, -np.inf)
-            src = int(np.argmax(observed))
-            if np.isfinite(observed[src]):
+            src = hottest_source(ctx)
+            if src is not None:
                 moves = plan_exports(ctx, raw, src, self.max_moves)
                 decisions = [
                     MigrationDecision(s, src, dst, predicted_benefit=float(raw[s]))

@@ -15,13 +15,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ml.tree import Binner, RegressionTree, apply_binned
+from repro.ml.tree import Binner, RegressionTree, apply_binned, unique_rows
 
 __all__ = ["GBDTRegressor"]
 
 
 class GBDTRegressor:
-    """Boosted histogram trees for regression."""
+    """Boosted histogram trees for regression.
+
+    ``max_depth`` bounds only ``growth="level"`` trees; leaf-wise trees are
+    limited by ``max_leaves`` alone and can grow deeper than ``max_depth``.
+    """
 
     def __init__(
         self,
@@ -77,16 +81,21 @@ class GBDTRegressor:
         self.binner_ = Binner(self.n_bins)
         self._forest_ = None
         binned = self.binner_.fit_transform(X)
+        # a tree's output depends only on the binned row: each round's update
+        # walks the distinct rows once and gathers per row
+        rows, inverse = unique_rows(binned)
         self.base_ = float(y.mean())
         pred = np.full(y.shape[0], self.base_)
         self.trees_ = []
         self.train_losses_ = []
         self.valid_losses_ = []
 
-        vb = vy = vpred = None
+        vrows = vinverse = vy = vpred = None
         if eval_set is not None:
             vX, vy = eval_set
-            vb = self.binner_.transform(np.asarray(vX, dtype=np.float64))
+            vrows, vinverse = unique_rows(
+                self.binner_.transform(np.asarray(vX, dtype=np.float64))
+            )
             vy = np.asarray(vy, dtype=np.float64)
             vpred = np.full(vy.shape[0], self.base_)
         best_valid = np.inf
@@ -103,10 +112,10 @@ class GBDTRegressor:
             )
             tree.fit(binned, residual)
             self.trees_.append(tree)
-            pred += self.learning_rate * tree.predict_binned(binned)
+            pred += (self.learning_rate * tree.predict_binned(rows))[inverse]
             self.train_losses_.append(float(np.mean((y - pred) ** 2)))
-            if vb is not None:
-                vpred += self.learning_rate * tree.predict_binned(vb)
+            if vrows is not None:
+                vpred += (self.learning_rate * tree.predict_binned(vrows))[vinverse]
                 vloss = float(np.mean((vy - vpred) ** 2))
                 self.valid_losses_.append(vloss)
                 if vloss < best_valid - 1e-15:
@@ -135,13 +144,16 @@ class GBDTRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.binner_ is None:
             raise RuntimeError("model not fitted")
-        binned = self.binner_.transform(np.asarray(X, dtype=np.float64))
-        out = np.full(binned.shape[0], self.base_)
+        rows, inverse = unique_rows(
+            self.binner_.transform(np.asarray(X, dtype=np.float64))
+        )
+        out = np.full(rows.shape[0], self.base_)
         # per-tree, in boosting order: float accumulation order is part of
-        # the model's observable output and must not change
+        # the model's observable output and must not change.  Each distinct
+        # binned row accumulates exactly what every copy of it would.
         for feature, threshold, left, right, scaled in self._packed_forest():
-            out += scaled[apply_binned(binned, feature, threshold, left, right)]
-        return out
+            out += scaled[apply_binned(rows, feature, threshold, left, right)]
+        return out[inverse]
 
     def feature_importances(self, normalize: bool = True) -> np.ndarray:
         """Total split gain per feature (Table 1's Gini importance)."""

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Binner", "RegressionTree", "apply_binned"]
+__all__ = ["Binner", "RegressionTree", "apply_binned", "unique_rows"]
 
 
 def apply_binned(
@@ -35,8 +35,9 @@ def apply_binned(
 
     Rows that settle on a leaf drop out of the active set instead of being
     re-tested every level, so each iteration only touches rows still in
-    flight — the walk over a full forest is what every per-epoch inference
-    call pays, and candidate sets routinely reach tens of thousands of rows.
+    flight.  Forest inference walks only the distinct rows of a candidate set
+    (:func:`unique_rows`): an epoch's tens of thousands of candidate subtrees
+    bin to a few hundred distinct rows.
     """
     n = binned.shape[0]
     node = np.zeros(n, dtype=np.int64)
@@ -50,6 +51,20 @@ def apply_binned(
         node[rows] = nxt
         rows = rows[feature[nxt] >= 0]
     return node
+
+
+def unique_rows(binned: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, inverse)``: the distinct rows of a binned matrix, and for each
+    input row its index into them, so ``rows[inverse]`` equals ``binned``.
+
+    Each row is keyed on its bytes, so any feature count works.  A tree's
+    output depends only on the binned row, so walking ``rows`` and gathering
+    by ``inverse`` gives every row the same value as walking all of them.
+    """
+    binned = np.ascontiguousarray(binned, dtype=np.uint8)
+    keys = binned.view(np.dtype((np.void, binned.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return binned[first], inverse
 
 
 class Binner:
@@ -74,6 +89,13 @@ class Binner:
         if self.edges_ is None:
             raise RuntimeError("binner not fitted")
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if X.shape[1] != len(self.edges_):
+            raise ValueError(
+                f"X has {X.shape[1]} features; the binner was fitted on "
+                f"{len(self.edges_)}"
+            )
         out = np.empty(X.shape, dtype=np.uint8)
         for f, edges in enumerate(self.edges_):
             out[:, f] = np.searchsorted(edges, X[:, f], side="right")

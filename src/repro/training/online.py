@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
-from repro.balancers.base import EpochContext, LunuleTrigger, subtree_loads
-from repro.balancers.lunule import plan_exports
+from repro.balancers.base import EpochContext, LunuleTrigger
+from repro.balancers.lunule import LunulePolicy
 from repro.cluster.migration import MigrationDecision
 from repro.core.labels import generate_labels
 from repro.core.origami import OrigamiPolicy
@@ -63,6 +61,8 @@ class OnlineOrigamiPolicy(OrigamiPolicy):
         self.retrain_count = 0
         self._prev_snapshot: Optional[EpochSnapshot] = None
         self._last_trained_epoch = -(10**9)
+        #: what the policy is until its first model trains
+        self._cold_start = LunulePolicy(self.trigger, self.max_moves)
 
     # ------------------------------------------------------------- learning
     def _learn_from_hindsight(self, ctx: EpochContext) -> None:
@@ -107,16 +107,8 @@ class OnlineOrigamiPolicy(OrigamiPolicy):
         try:
             if self.model is not None:
                 return super().rebalance(ctx)
-            # cold start: observed-load export planning until a model exists
-            if not self.trigger.should_rebalance(ctx.mds_load):
-                return []
-            loads = np.asarray(ctx.mds_load, dtype=np.float64)
-            src = int(np.argmax(loads))
-            sub = subtree_loads(ctx)
-            moves = plan_exports(ctx, sub, src, self.max_moves)
-            return [
-                MigrationDecision(s, src, dst, predicted_benefit=float(sub[s]))
-                for s, dst in moves
-            ]
+            # cold start: observed-load export planning (and evacuation of
+            # dead MDSs) until a model exists
+            return self._cold_start.rebalance(ctx)
         finally:
             self._prev_snapshot = snapshot

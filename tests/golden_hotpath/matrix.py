@@ -12,13 +12,17 @@ a JSON-stable form:
 * the full ``SimResult.to_dict()`` minus the volatile wall-clock keys;
 * a SHA-256 over the canonical JSON of every finished span;
 * the timeline meta plus a SHA-256 over the canonical JSON of its windows;
+* (Origami cells) a SHA-256 over the canonical JSON of every balancer
+  audit entry, so each GBDT-driven decision and its scored candidates are
+  pinned, not just their effect on the run;
 * (one dedicated cell) a benchmark artifact with its volatile sections and
   machine fingerprint stripped, reduced to a SHA-256.
 
-The fixtures were captured BEFORE the hot-path optimization landed, so a
-pass proves the optimized simulator is bit-identical to the pre-change
+The fixtures were captured BEFORE the hot-path optimization landed (the
+Origami cells before GBDT inference walked only distinct binned rows), so
+a pass proves the optimized simulator is bit-identical to the pre-change
 build in every deterministic output, across seeds × workloads ×
-{healthy, faults, durability}.
+{healthy, faults, durability, Origami}.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ N_CLIENTS = 12
 EPOCH_MS = 60.0
 CACHE_DEPTH = 2
 
+#: Origami cells run longer: 2,500 ops reach only two epochs, too few for
+#: the trained model to decide anything worth pinning
+ORIGAMI_N_OPS = 20_000
+
 #: SimResult keys that are wall-clock (machine-speed) measurements
 VOLATILE_RESULT_KEYS = ("wall_s", "engine_events_per_wall_sec")
 
@@ -52,6 +60,8 @@ CELLS = {
     "faults_wi_seed0": ("wi", 0, "faults"),
     "durability_wi_seed0": ("wi", 0, "durability"),
     "durability_rw_seed1": ("rw", 1, "durability"),
+    "origami_wi_seed0": ("wi", 0, "origami"),
+    "origami_rw_seed1": ("rw", 1, "origami"),
 }
 
 #: the dedicated bench-artifact cell (runs through repro.bench end to end)
@@ -85,16 +95,23 @@ def run_cell(name: str) -> Dict[str, Any]:
     from repro.balancers import LunulePolicy
     from repro.costmodel import CostParams
     from repro.fs import SimConfig, run_simulation
-    from repro.harness.experiments import build_workload
+    from repro.harness.config import get_scale
+    from repro.harness.experiments import build_workload, make_policy
     from repro.obs import Observability
 
     kind, seed, flavor = CELLS[name]
-    built, trace = build_workload(kind, N_OPS, seed)
+    origami = flavor == "origami"
+    built, trace = build_workload(kind, ORIGAMI_N_OPS if origami else N_OPS, seed)
     obs = Observability(
         trace=True,  # in-memory tracer: spans retained, no file
         timeline=True,
         timeline_window_ms=EPOCH_MS / 5.0,
+        audit=origami,
     )
+    if origami:
+        policy, _ = make_policy("Origami", kind, get_scale("smoke"))
+    else:
+        policy = LunulePolicy()
     with tempfile.TemporaryDirectory(prefix="repro-hotpath-golden-") as scratch:
         config = SimConfig(
             n_mds=N_MDS,
@@ -106,7 +123,7 @@ def run_cell(name: str) -> Dict[str, Any]:
             faults=fault_schedule() if flavor == "faults" else None,
             data_dir=f"{scratch}/stores" if flavor == "durability" else None,
         )
-        result = run_simulation(built.tree, trace, LunulePolicy(), config)
+        result = run_simulation(built.tree, trace, policy, config)
 
     result_dict = result.to_dict()
     for key in VOLATILE_RESULT_KEYS:
@@ -114,7 +131,7 @@ def run_cell(name: str) -> Dict[str, Any]:
 
     span_lines = [_canonical(s.to_dict()) for s in obs.tracer.spans]
     timeline_rows = obs.timeline.to_rows()
-    return {
+    payload = {
         "cell": name,
         "result": result_dict,
         "n_spans": len(span_lines),
@@ -123,6 +140,11 @@ def run_cell(name: str) -> Dict[str, Any]:
         "n_windows": len(timeline_rows),
         "timeline_sha256": _sha256("\n".join(_canonical(r) for r in timeline_rows)),
     }
+    if origami:
+        audit_lines = [_canonical(e) for e in obs.audit.to_dicts()]
+        payload["n_audit_entries"] = len(audit_lines)
+        payload["audit_sha256"] = _sha256("\n".join(audit_lines))
+    return payload
 
 
 def _ensure_bench_scenario():

@@ -93,6 +93,17 @@ def test_metaopt_stop_threshold():
     assert len(free.decisions) >= len(strict.decisions)
 
 
+def test_metaopt_moves_nothing_off_or_onto_ineligible_mds():
+    tree, pmap, trace, params = skewed_world(seed=6)
+    res = meta_opt(trace, tree, pmap, params, delta=1e9,
+                   eligible=np.array([True, True, False, True]))
+    assert res.decisions and all(d.dst != 2 for d in res.decisions)
+    # everything starts on MDS 0: with it ineligible, nothing may move
+    res = meta_opt(trace, tree, pmap, params, delta=1e9,
+                   eligible=np.array([False, True, True, True]))
+    assert res.decisions == []
+
+
 def test_metaopt_empty_trace():
     tree, pmap, _, params = skewed_world(seed=7)
     tb = TraceBuilder()

@@ -25,6 +25,8 @@ from repro.fs.faults import (
     Slowdown,
 )
 from repro.fs.filesystem import OrigamiFS, run_simulation
+from repro.harness.config import get_scale
+from repro.harness.experiments import make_policy
 from repro.sim import SeedSequenceFactory
 from repro.workloads import generate_trace_rw
 
@@ -244,6 +246,58 @@ def test_permanent_crash_evacuates_and_completes():
     crash_epoch = int(30.0 // 15.0)
     late_busy = sum(float(e.busy_ms[0]) for e in result.per_epoch[crash_epoch + 2 :])
     assert late_busy == 0.0
+
+
+#: every strategy whose rebalance migrates subtrees (the hash, even and
+#: single-MDS placements never do)
+MIGRATING_STRATEGIES = ("Lunule", "ML-tree", "AdaM-RL", "Meta-OPT", "Origami", "Origami-online")
+
+
+class _DeadMdsWatch:
+    """Wraps a policy and checks every decision list it returns while MDS 0
+    is down: the list applies cleanly in order and never targets MDS 0."""
+
+    def __init__(self, policy):
+        self.policy, self.name = policy, policy.name
+
+    def setup(self, *args):
+        return self.policy.setup(*args)
+
+    def rebalance(self, ctx):
+        decisions = self.policy.rebalance(ctx)
+        if ctx.mds_up is not None and not ctx.mds_up[0]:
+            plan = ctx.pmap.copy()
+            for d in decisions:
+                d.validate(plan)  # raises if an earlier decision moved it
+                assert d.dst != 0
+                plan.migrate_subtree(d.subtree_root, d.dst)
+        return decisions
+
+
+@pytest.mark.parametrize("strategy", MIGRATING_STRATEGIES)
+def test_every_migrating_strategy_evacuates_a_dead_mds(strategy):
+    """A crash that never restarts: whatever the policy, the dead MDS is
+    evacuated and never picked again, so it ends the run owning nothing."""
+    built, trace = generate_trace_rw(SeedSequenceFactory(3).stream("w"), n_ops=6000)
+    policy, _ = make_policy(strategy, "rw", get_scale("smoke"))
+    cfg = SimConfig(
+        n_mds=3,
+        n_clients=24,
+        epoch_ms=20.0,
+        params=CostParams(cache_depth=2),
+        seed=3,
+        oracle_window_ops=1500,
+        faults=FaultSchedule(
+            [Crash(mds=0, start_ms=30.0, end_ms=math.inf)],
+            retry=RetryPolicy(max_attempts=12, backoff_max_ms=8.0),
+        ),
+    )
+    fs = OrigamiFS(built.tree, trace, _DeadMdsWatch(policy), cfg)
+    result = fs.run()
+    assert result.ops_completed + result.fault_failed_ops + result.vanished_ops == len(trace)
+    owner = fs.pmap.owner_array()
+    dirs = fs.tree.dir_mask()[: owner.shape[0]]
+    assert int(((owner == 0) & dirs).sum()) == 0
 
 
 def test_rpc_drop_and_partition_paths():

@@ -10,13 +10,14 @@ single deterministic output bit.  This suite proves that along four axes:
    captured from the tree *before* any optimization landed (see
    ``capture.py`` there).  Each cell re-runs the same simulation through the
    optimized build and demands byte-identity of the full ``SimResult``,
-   every finished span, every timeline window, and (one cell) a whole bench
-   artifact — across seeds × workloads × {healthy, faults, durability}.
+   every finished span, every timeline window, (Origami cells) every
+   balancer audit entry, and (one cell) a whole bench artifact — across
+   seeds × workloads × {healthy, faults, durability, Origami}.
 
 2. **Property tests** (hypothesis) — for *random* seeds and configurations
    the suite never saw at capture time, two fresh runs in the same process
    must be identical: determinism is a property of the simulator, not of the
-   eleven captured points.
+   captured points.
 
 3. **Observational equivalence** — a run with the span tracer on gives
    the same result and timeline as the same run with it off, across

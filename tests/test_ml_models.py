@@ -49,6 +49,19 @@ def test_binner_validation():
         Binner(n_bins=1)
     with pytest.raises(RuntimeError):
         Binner().transform(np.zeros((3, 2)))
+    # a column count other than the fitted one is refused, naming both
+    # counts: an extra column would reach the model as uninitialised bytes
+    X, y = make_regression(n=200)
+    binner = Binner().fit(X)
+    model = GBDTRegressor(n_estimators=2).fit(X, y)
+    for n_cols in (4, 6):
+        wrong = np.zeros((3, n_cols))
+        with pytest.raises(ValueError, match=f"{n_cols} features.*fitted on 5"):
+            binner.transform(wrong)
+        with pytest.raises(ValueError, match=f"{n_cols} features.*fitted on 5"):
+            model.predict(wrong)
+    with pytest.raises(ValueError, match="2-D"):
+        binner.transform(np.zeros(5))
 
 
 # --------------------------------------------------------------------- tree

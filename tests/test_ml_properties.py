@@ -1,5 +1,7 @@
 """Property-based tests on the ML stack (hypothesis)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ml import GBDTRegressor, RidgeRegressor
 from repro.ml.metrics import _rank, spearman_rank_correlation
-from repro.ml.tree import Binner, RegressionTree
+from repro.ml.tree import Binner, RegressionTree, unique_rows
 
 SET = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -63,6 +65,63 @@ def test_gbdt_importances_normalised(data):
     assert np.all(imp >= 0)
     s = imp.sum()
     assert s == pytest.approx(1.0) or s == pytest.approx(0.0)
+
+
+def _reference_predict(model, X):
+    """The plain per-row forest walk: start at ``base_`` and, tree by tree in
+    boosting order, add ``learning_rate * value[leaf]``."""
+    out = []
+    for row in model.binner_.transform(X):
+        acc = model.base_
+        for tree in model.trees_:
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            acc += model.learning_rate * tree.value[node]
+        out.append(acc)
+    return np.array(out, dtype=np.float64)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    f=st.integers(1, 6),
+    growth=st.sampled_from(["leaf", "level"]),
+)
+@SET
+def test_gbdt_predict_matches_per_row_reference(seed, f, growth):
+    """``predict`` walks the forest over distinct binned rows only; every row
+    must still get the per-row walk's value bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    X = rng.random((n, f))
+    # one column of n distinct values: with n <= n_bins every training row
+    # bins to its own row
+    X[:, 0] = rng.permutation(n)
+    y = X @ rng.normal(size=f) + 0.1 * rng.normal(size=n)
+    model = GBDTRegressor(
+        n_estimators=8, learning_rate=0.3, max_leaves=6, max_depth=3,
+        min_samples_leaf=2, growth=growth,
+    ).fit(X, y)
+    assert unique_rows(model.binner_.transform(X))[0].shape[0] == n
+    # every corner of the training box (each column at its min or max), so
+    # the duplicates include rows that differ in any one column only
+    corners = np.array(list(itertools.product(*zip(X.min(axis=0), X.max(axis=0)))))
+    duplicated = corners[rng.integers(0, len(corners), size=300)]
+    wide = np.hstack([rng.random((n, 2)), X])
+    cases = {
+        "duplicated": duplicated,
+        "distinct": X,
+        "no rows": X[:0],
+        "one row": X[:1],
+        "fortran": np.asfortranarray(duplicated),
+        "column view": wide[:, 2:],
+    }
+    for name, Xc in cases.items():
+        got = model.predict(Xc)
+        want = _reference_predict(model, Xc)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 @given(regression_data(), st.floats(0.5, 5.0), st.floats(-3.0, 3.0))
