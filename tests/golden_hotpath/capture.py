@@ -17,7 +17,15 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from matrix import BENCH_CELL, CELLS, run_bench_cell, run_cell  # noqa: E402
+from matrix import (  # noqa: E402
+    BENCH_CELL,
+    CELLS,
+    REGISTRY_PINS,
+    REGISTRY_PINS_FIXTURE,
+    run_bench_cell,
+    run_cell,
+    run_registry_pin,
+)
 
 
 def main() -> None:
@@ -31,6 +39,10 @@ def main() -> None:
     out = HERE / f"{BENCH_CELL}.json"
     out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"captured {out.name}: {payload['n_runs']} bench runs")
+    pins = {name: run_registry_pin(name) for name in REGISTRY_PINS}
+    out = HERE / f"{REGISTRY_PINS_FIXTURE}.json"
+    out.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"captured {out.name}: {len(pins)} registry pins")
 
 
 if __name__ == "__main__":

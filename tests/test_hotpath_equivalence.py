@@ -10,9 +10,10 @@ single deterministic output bit.  This suite proves that along four axes:
    captured from the tree *before* any optimization landed (see
    ``capture.py`` there).  Each cell re-runs the same simulation through the
    optimized build and demands byte-identity of the full ``SimResult``,
-   every finished span, every timeline window, (Origami cells) every
-   balancer audit entry, and (one cell) a whole bench artifact — across
-   seeds × workloads × {healthy, faults, durability, Origami}.
+   every finished span, every timeline window, the metrics registry,
+   (Origami cells) every balancer audit entry, and (one cell) a whole
+   bench artifact — across seeds × workloads × {healthy, faults,
+   durability, Origami}.
 
 2. **Property tests** (hypothesis) — for *random* seeds and configurations
    the suite never saw at capture time, two fresh runs in the same process
@@ -85,7 +86,7 @@ def _assert_equal(path: str, old, new) -> None:
 # --------------------------------------------------------------------------
 def test_fixture_set_is_complete():
     """Every matrix cell has its pre-change fixture on disk (and vice versa)."""
-    expected = set(MATRIX.CELLS) | {MATRIX.BENCH_CELL}
+    expected = set(MATRIX.CELLS) | {MATRIX.BENCH_CELL, MATRIX.REGISTRY_PINS_FIXTURE}
     on_disk = {p.stem for p in GOLDEN_DIR.glob("*.json")}
     assert on_disk == expected, (
         f"fixture drift: missing {expected - on_disk}, stray {on_disk - expected}"
