@@ -72,6 +72,8 @@ class EpochDriver:
         audit = fs.obs.audit
         elastic = fs.elastic
         liveness = fs.liveness if elastic is not None else None
+        # live, not published at the end: its twin fs.epochs is
+        # checkpointed, while the registry counts one run segment
         m_epochs = fs.obs.registry.counter("epochs_total", "epoch boundaries crossed")
         while True:
             yield env.timeout(fs.config.epoch_ms)

@@ -67,16 +67,6 @@ class MDSPoolController:
         self._billed = fs.config.n_mds
         self._last_change_ms = float(fs.env.now)
         self._finalized = False
-        reg = fs.obs.registry
-        self._m_out = reg.counter(
-            "elastic_scale_out_total", "MDSs provisioned by the autoscaler"
-        )
-        self._m_in = reg.counter(
-            "elastic_drains_started_total", "graceful MDS drains initiated"
-        )
-        self._m_done = reg.counter(
-            "elastic_drains_completed_total", "drained MDSs removed from the pool"
-        )
 
     # ------------------------------------------------------------ accounting
     def _rebill(self, now: float) -> None:
@@ -186,7 +176,6 @@ class MDSPoolController:
                 continue  # in-flight ops finish first: zero-lost-ops
             lv.set_state(i, GONE)
             self.drains_completed += 1
-            self._m_done.inc()
             self._rebill(float(fs.env.now))
 
     # ------------------------------------------------------------- actions
@@ -207,7 +196,6 @@ class MDSPoolController:
         else:
             lv.set_state(i, UP)
         self.scale_outs += 1
-        self._m_out.inc()
         self._rebill(now)
         return True
 
@@ -231,7 +219,6 @@ class MDSPoolController:
         victim = min(candidates, key=lambda j: (loads[j], -j))
         lv.set_state(int(victim), DRAINING)
         self.drains_started += 1
-        self._m_in.inc()
         return True
 
     # -------------------------------------------------------------- signals

@@ -11,8 +11,9 @@ The injector owns three things:
   one round trip for a crashed server, a full RPC-timeout wait for a
   partitioned or dropping one, extra per-RPC delay for a slow link;
 * the **accounting** — every fault, retry, failover, and typed op failure
-  counts here and into the PR-1 metrics registry (``faults_*`` families),
-  so a traced faulty run fully explains its latency.
+  counts here; :meth:`~repro.obs.Observability.finalize` publishes the
+  counts into the metrics registry (``faults_*`` families) when the run
+  ends, so a traced faulty run fully explains its latency.
 
 Determinism: the injector draws randomness only from two dedicated streams
 ("fault-drop" for drop coin flips, "fault-retry" for backoff jitter) derived
@@ -57,7 +58,7 @@ class FaultInjector:
         #: mds -> (warm until, factor) windows installed at restart time
         self._derived_warmup: Dict[int, tuple] = {}
 
-        # run-scoped totals (mirrored into the registry live)
+        # run-scoped totals (published into the registry by finalize)
         self.crashes = 0
         self.restarts = 0
         self.rpc_drops = 0
@@ -70,19 +71,6 @@ class FaultInjector:
         self.ops_recovered = 0
         self.backoff_wait_ms = 0.0
         self.failed_by_reason: Dict[str, int] = {}
-
-        reg = fs.obs.registry
-        self._m_crashes = reg.counter("faults_crashes_total", "MDS crash events injected")
-        self._m_restarts = reg.counter("faults_restarts_total", "MDS restarts completed")
-        self._m_drops = reg.counter("faults_rpc_drops_total", "RPCs dropped in flight")
-        self._m_timeouts = reg.counter("faults_rpc_timeouts_total", "RPCs timed out (partition)")
-        self._m_refused = reg.counter("faults_connection_refused_total", "RPCs refused by a down MDS")
-        self._m_aborted = reg.counter("faults_service_aborted_total", "requests lost to a mid-service crash")
-        self._m_retries = reg.counter("faults_retries_total", "client op retries")
-        self._m_failovers = reg.counter("faults_failovers_total", "retries that re-resolved to a new primary")
-        self._m_failed = reg.counter("faults_ops_failed_total", "ops that exhausted their retry budget")
-        self._m_recovered = reg.counter("faults_ops_recovered_total", "ops that succeeded after retrying")
-        self._m_backoff = reg.counter("faults_backoff_wait_ms_total", "client virtual ms spent backing off")
 
         for server in fs.servers:
             server.attach_faults(self)
@@ -106,7 +94,6 @@ class FaultInjector:
                 if kind == "crash" and (not ev.restarts or ev.end_ms > env.now):
                     fs.servers[ev.mds].crash()
                     self.crashes += 1
-                    self._m_crashes.inc()
                     until = float("inf") if not ev.restarts else (
                         ev.end_ms if self._derived_warmup_mode
                         else ev.end_ms + ev.warmup_ms
@@ -119,7 +106,6 @@ class FaultInjector:
             if kind == "crash":
                 server.crash()
                 self.crashes += 1
-                self._m_crashes.inc()
                 # leases/near-root entries granted by the dead MDS are void
                 # until it is back and warm (conservatively: all of them —
                 # the DES models one coherent client-population cache); in
@@ -135,7 +121,6 @@ class FaultInjector:
             else:
                 rec_ms = server.restart()
                 self.restarts += 1
-                self._m_restarts.inc()
                 if self._derived_warmup_mode and rec_ms > 0:
                     # warm-up window sized by the recovery work performed
                     self._derived_warmup[ev.mds] = (env.now + rec_ms, ev.warmup_factor)
@@ -161,10 +146,6 @@ class FaultInjector:
                 f = max(f, window[1])
         return f
 
-    def count_service_abort(self) -> None:
-        self.aborted_in_service += 1
-        self._m_aborted.inc()
-
     # ------------------------------------------------------ client-side gate
     def rpc_gate(self, mds: int, span=None) -> Optional[Tuple[float, Optional[FaultError]]]:
         """Model the network leg of one RPC to ``mds``.
@@ -186,19 +167,16 @@ class FaultInjector:
         if sched.partitioned(mds, now):
             wait = self.retry.rpc_timeout_ms
             self.rpc_timeouts += 1
-            self._m_timeouts.inc()
             error = RpcTimeoutError(mds, "partitioned")
         elif not fs.servers[mds].up:
             wait = fs.network_rtt()  # connection refused costs one round trip
             self.connection_refusals += 1
-            self._m_refused.inc()
             error = MdsUnavailableError(mds)
         else:
             p = sched.drop_probability(mds, now)
             if p > 0.0 and float(self._drop_rng.random()) < p:
                 wait = self.retry.rpc_timeout_ms
                 self.rpc_drops += 1
-                self._m_drops.inc()
                 error = RpcDroppedError(mds)
             else:
                 wait = sched.extra_delay_ms(mds, now)
@@ -214,24 +192,10 @@ class FaultInjector:
         """Seeded-jitter backoff before retry ``attempt`` (1-based)."""
         wait = self.retry.backoff_ms(attempt, float(self._retry_rng.random()))
         self.backoff_wait_ms += wait
-        self._m_backoff.inc(wait)
         return wait
-
-    def count_retry(self) -> None:
-        self.retries += 1
-        self._m_retries.inc()
-
-    def count_failover(self) -> None:
-        self.failovers += 1
-        self._m_failovers.inc()
-
-    def count_recovered(self) -> None:
-        self.ops_recovered += 1
-        self._m_recovered.inc()
 
     def count_op_failed(self, exc: FaultError) -> None:
         self.ops_failed += 1
-        self._m_failed.inc()
         self.failed_by_reason[exc.reason] = self.failed_by_reason.get(exc.reason, 0) + 1
 
     # -------------------------------------------------------------- summary

@@ -135,8 +135,8 @@ class OrigamiFS:
         self._net_rng = ssf.stream("network")
 
         self.obs = self.config.obs if self.config.obs is not None else NULL_OBS
-        #: live per-op metrics children (no-op singletons when metrics off)
-        self.m_ops = self.obs.registry.counter("client_ops_total", "metadata ops completed")
+        #: live per-op latency histogram (a no-op singleton when metrics
+        #: are off); finalize derives ``client_ops_total`` from its count
         self.m_latency = self.obs.registry.histogram(
             "client_latency_ms", "client-observed metadata latency (ms)"
         )

@@ -27,10 +27,12 @@ class Migrator:
         self.fs = fs
         self.cost_per_inode_ms = cost_per_inode_ms
         self.log = MigrationLog()
-        reg = fs.obs.registry
-        self._m_migrations = reg.counter("migrations_applied_total", "subtree moves applied")
-        self._m_inodes = reg.counter("migration_inodes_moved_total", "inodes relocated")
-        self._m_stale = reg.counter("migration_stale_total", "decisions dropped as stale")
+        # live, unlike the applied counts finalize publishes from the log:
+        # its twin fs.stale_decisions is checkpointed, so it would count
+        # across a resume while the registry counts one run segment
+        self._m_stale = fs.obs.registry.counter(
+            "migration_stale_total", "decisions dropped as stale"
+        )
 
     def apply(self, decisions: List[MigrationDecision], epoch: int) -> Generator:
         """Apply a batch of decisions; yields while charging migration time."""
@@ -59,8 +61,6 @@ class Migrator:
             if fs.use_kvstore:
                 self._move_records(d)
             rec = self.log.apply(fs.pmap, d, epoch=epoch)
-            self._m_migrations.inc()
-            self._m_inodes.inc(rec.inodes_moved)
             fs.obs.timeline.record_migration(d.src, d.dst, rec.inodes_moved)
             cost = rec.inodes_moved * self.cost_per_inode_ms
             if cost > 0:

@@ -5,10 +5,12 @@ saturation regime of §5.2); queueing delay is emergent, which is what makes
 the DES results exhibit Eq. (1)'s ``Q_i`` term without modelling it.
 
 Busy time, RPC counts, and request counts accumulate per epoch and are
-drained by the epoch driver into :class:`~repro.fs.metrics.EpochMetrics`.
-When observability is on, the same counters also publish into the metrics
-registry (labelled by MDS id) and :meth:`service` decomposes each visit into
-queue wait vs. service time on the caller's :class:`~repro.obs.tracing.Span`.
+drained by the epoch driver into :class:`~repro.fs.metrics.EpochMetrics`;
+run-scoped totals accumulate beside them.  When observability is on,
+:meth:`~repro.obs.Observability.finalize` publishes the totals into the
+metrics registry (labelled by MDS id) once the run ends, and :meth:`service`
+decomposes each visit into queue wait vs. service time on the caller's
+:class:`~repro.obs.tracing.Span`.
 
 Crash semantics (active only when a :class:`~repro.fs.faults.FaultInjector`
 is attached): a crashed server aborts the request it was servicing, drains
@@ -83,16 +85,10 @@ class MdsServer:
         self.total_requests = 0
         #: cumulative modeled durable-write cost (never reset by drains)
         self.durability_ms_total = 0.0
-        # live metrics children (no-op singletons when the registry is off)
+        # live histogram children (no-op singletons when the registry is
+        # off): they need every value, not a total
         reg = registry if registry is not None else NULL_REGISTRY
         label = str(mds_id)
-        self._m_rpcs = reg.counter("mds_rpcs_live_total", "RPCs handled (live)").labels(mds=label)
-        self._m_requests = reg.counter(
-            "mds_requests_live_total", "requests with this MDS as primary (live)"
-        ).labels(mds=label)
-        self._m_busy = reg.counter(
-            "mds_busy_ms_live_total", "service busy-ms accumulated (live)"
-        ).labels(mds=label)
         self._m_group_commit = reg.histogram(
             "kv_wal_group_commit_size", "records per WAL group commit"
         ).labels(mds=label)
@@ -151,7 +147,6 @@ class MdsServer:
     def count_rpc(self, n: int = 1) -> None:
         self.epoch_rpcs += n
         self.total_rpcs += n
-        self._m_rpcs.inc(n)
 
     def service(self, duration_ms: float, span=None) -> Generator:
         """Queue for the server thread, hold it for ``duration_ms``.
@@ -168,7 +163,9 @@ class MdsServer:
 
         The client loop inlines this hold for its RPC legs; both sides share
         :meth:`admit`, :meth:`granted` and :meth:`survived`, so they differ
-        only in the yields and the busy-time accounting spelled out here.
+        only in the yields.  Both add the hold to the epoch and run busy
+        totals, and nothing else: the registry reads the run total when the
+        run ends.
         """
         faults = self._faults
         env = self.env
@@ -192,7 +189,6 @@ class MdsServer:
                 span.service_ms += duration_ms
             self.epoch_busy_ms += duration_ms
             self.total_busy_ms += duration_ms
-            self._m_busy.inc(duration_ms)
         finally:
             resource.release(req)
 
@@ -229,7 +225,7 @@ class MdsServer:
         work — the client paid the hold, but it is charged as fault wait,
         not busy time, and surfaces as :class:`MdsCrashedError`."""
         if not self.up or self.incarnation != incarnation:
-            self._faults.count_service_abort()
+            self._faults.aborted_in_service += 1
             if span is not None:
                 span.fault_wait_ms += duration_ms
             raise MdsCrashedError(self.mds_id)

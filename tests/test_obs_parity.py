@@ -263,3 +263,39 @@ def test_disabled_observability_overhead_is_small():
     enabled = min(run_once(Observability(metrics=True, trace=True, audit=True)) for _ in range(2))
     # disabled must never be meaningfully slower than fully instrumented
     assert disabled <= enabled * 1.5
+
+
+@pytest.mark.parametrize("metrics", [True, False], ids=["registry", "null-registry"])
+def test_per_op_path_touches_no_counter(monkeypatch, metrics):
+    """The registry costs one histogram observe per op and no counter add:
+    every counter is published from a component's total when the run ends,
+    so a run makes a handful of ``inc`` calls, not several per op."""
+    from repro.obs.registry import Counter, Histogram, _NullMetric
+
+    calls = {}
+
+    def count_calls(cls, method):
+        original = getattr(cls, method)
+        key = f"{cls.__name__}.{method}"
+        calls[key] = 0
+
+        def wrapper(self, *args, **kwargs):
+            calls[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, wrapper)
+
+    built, trace = _world()
+    n_ops = len(trace)
+    if metrics:
+        count_calls(Counter, "inc")
+        count_calls(Histogram, "observe")
+    else:
+        count_calls(_NullMetric, "inc")
+    obs = Observability(metrics=metrics)
+    run_simulation(built.tree, trace, LunulePolicy(), _config(obs=obs))
+    if metrics:
+        assert calls["Histogram.observe"] == n_ops
+        assert calls["Counter.inc"] < 0.1 * n_ops, calls
+    else:
+        assert calls["_NullMetric.inc"] < 0.1 * n_ops, calls
