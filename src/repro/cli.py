@@ -628,7 +628,7 @@ def _cmd_obs(args) -> int:
             spec = SloSpec.load(args.spec)
             report = evaluate_slo(rows, spec, faults=faults)
         except (OSError, SloError) as exc:
-            print(f"repro obs slo: {exc}", file=sys.stderr)
+            print(f"repro obs slo: bad SLO spec: {exc}", file=sys.stderr)
             return 2
         print(report.render())
         if args.json_out:

@@ -295,24 +295,29 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
+        """Parse a schedule; a malformed field raises ValueError naming it."""
+        if not isinstance(data, dict) or not isinstance(data.get("faults", []), list):
+            raise ValueError(f"fault schedule must be an object with a 'faults' list: {data!r}")
         version = data.get("version", SCHEDULE_SCHEMA_VERSION)
-        if version > SCHEDULE_SCHEMA_VERSION:
-            raise ValueError(f"fault schedule version {version} is newer than supported")
-        retry = RetryPolicy(**data["retry"]) if "retry" in data else None
+        if not isinstance(version, int) or version > SCHEDULE_SCHEMA_VERSION:
+            raise ValueError(f"unsupported fault schedule 'version' {version!r}")
+        try:
+            retry = RetryPolicy(**data["retry"]) if "retry" in data else None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad fault schedule 'retry' {data['retry']!r}: {exc}") from None
         events = []
         for raw in data.get("faults", []):
-            raw = dict(raw)
-            kind = raw.pop("kind", None)
-            etype = _TYPE_BY_KIND.get(kind)
-            if etype is None:
-                raise ValueError(f"unknown fault kind {kind!r}")
-            for k, v in raw.items():
-                if v == "inf":
-                    raw[k] = math.inf
             try:
-                events.append(etype(**raw))
-            except TypeError as exc:
-                raise ValueError(f"bad {kind} event {raw}: {exc}") from None
+                raw = dict(raw)
+                kind = raw.pop("kind", None)
+                if kind not in _TYPE_BY_KIND:
+                    raise ValueError(f"unknown fault kind {kind!r}")
+                for k, v in raw.items():
+                    if v == "inf":
+                        raw[k] = math.inf
+                events.append(_TYPE_BY_KIND[kind](**raw))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad fault event {raw!r} in 'faults': {exc}") from None
         return cls(events, retry=retry)
 
     def to_json(self, indent: int = 2) -> str:

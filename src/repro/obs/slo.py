@@ -96,7 +96,8 @@ class SloObjective:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SloObjective":
-        if "name" not in d or "metric" not in d:
+        """Parse one objective; a malformed field raises SloError naming it."""
+        if not isinstance(d, dict) or "name" not in d or "metric" not in d:
             raise SloError(f"objective needs 'name' and 'metric': {d!r}")
         target = d.get("target", d.get("target_ms"))
         if target is None:
@@ -108,6 +109,9 @@ class SloObjective:
             raise SloError(
                 f"objective {d['name']!r}: unknown keys {sorted(unknown)}"
             )
+        for key in sorted((known - {"name", "metric"}) & set(d)):
+            if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
+                raise SloError(f"objective {d['name']!r}: {key!r} must be a number: {d[key]!r}")
         return cls(
             name=str(d["name"]),
             metric=str(d["metric"]),
@@ -140,7 +144,7 @@ class SloSpec:
         if not isinstance(d, dict):
             raise SloError(f"SLO spec must be a JSON object, got {type(d).__name__}")
         objs = d.get("objectives")
-        if not objs:
+        if not objs or not isinstance(objs, list):
             raise SloError("SLO spec needs a non-empty 'objectives' list")
         parsed = tuple(SloObjective.from_dict(o) for o in objs)
         names = [o.name for o in parsed]
