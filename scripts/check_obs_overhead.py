@@ -11,8 +11,9 @@ scored by its min (min, not mean: scheduling noise only ever adds time).
 The parity suite proves the collector changes no *simulated* number;
 this script bounds what it costs in *real* time.  A combined run with
 the metrics registry also enabled is reported informationally — the
-registry predates this pipeline and pays one histogram observe plus
-several counter adds per op, so it is not held to the timeline's budget.
+registry predates this pipeline and pays one histogram observe per op
+(its counters are published once, at the end of the run), so it is not
+held to the timeline's budget.
 
 Usage (CI runs the defaults):
 
