@@ -1,10 +1,11 @@
 """The one execution path every benchmark run goes through.
 
-Both the paper harness (``repro.harness.experiments`` regenerating a
-figure) and the parallel perf runner (:mod:`repro.bench.runner`) execute a
-(scenario, variant, seed) cell via :func:`run_variant`, so a perf artifact
-and a paper figure measured from the same scenario are directly
-comparable — there is no second, subtly different code path.
+Both the paper harness (``repro.harness.experiments`` regenerating
+Figs 2 and 5-9, Table 2 and the cache-depth and mdtest ablations) and the
+parallel perf runner (:mod:`repro.bench.runner`) execute a (scenario,
+variant, seed) cell via :func:`run_variant`, so a perf artifact and a paper
+figure measured from the same scenario are directly comparable — there is
+no second, subtly different code path.
 
 Imports of :mod:`repro.harness` are deferred to call time: ``repro.bench``
 must stay importable from ``repro.harness.experiments`` without a cycle.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.bench.scenario import BenchScenario, BenchVariant
+from repro.bench.scenario import DATAPATH, BenchScenario, BenchVariant
 
 __all__ = ["run_variant", "extract_metrics", "HEADLINE_METRICS"]
 
@@ -93,6 +94,7 @@ def run_variant(
             n_mds=variant.n_mds,
             n_clients=variant.n_clients,
             cache_depth=variant.cache_depth,
+            datapath=DATAPATH if variant.datapath else None,
             n_ops=n_ops,
             faults=scenario.faults,
             obs=obs,

@@ -258,7 +258,7 @@ def _cmd_run(args) -> int:
         PROFILER.enabled = True
         PROFILER.reset()
     with PROFILER.phase(f"experiment:{args.experiment}"):
-        rep = fn(scale, seed=args.seed) if args.experiment != "theorem1_gap" else fn(seed=args.seed)
+        rep = fn(scale, seed=args.seed)
     print(rep.render())
     if args.profile:
         print()

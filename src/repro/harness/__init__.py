@@ -13,7 +13,6 @@ paper's durations, or ``REPRO_SCALE=smoke`` for fast runs too short for
 every paper shape to show.
 """
 
-from repro.harness.analytic import AnalyticResult, analytic_replay
 from repro.harness.config import ExperimentScale, get_scale
 from repro.harness.report import Report, format_table
 from repro.harness import experiments
@@ -24,6 +23,4 @@ __all__ = [
     "format_table",
     "ExperimentScale",
     "get_scale",
-    "analytic_replay",
-    "AnalyticResult",
 ]

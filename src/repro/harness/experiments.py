@@ -7,13 +7,21 @@ Conventions:
   tables juxtapose the paper's reported values with the measured ones;
 * throughput comparisons use steady-state (post-rebalancing) throughput, as
   the paper does (§5.2);
-* the Origami model is trained once per (workload, scale, seed) and cached.
+* the Origami model is trained once per (workload, scale, seed) and cached;
+* every DES matrix — Figs 2 and 5-9, Table 2, the cache-depth and mdtest
+  ablations — is a registered :mod:`repro.bench.scenario` read through
+  :func:`_scenario_results`, so ``repro bench run --scenario <name>`` runs
+  exactly what the figure reports.  The epoch-length ablation varies the
+  scale's ``epoch_ms`` through :func:`run_strategy`; only the online-learning
+  and cache-design ablations, which need the policy object or the lease
+  cache, drive the simulator themselves.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -159,7 +167,6 @@ def run_strategy(
     faults=None,
     obs=None,
     data_dir: Optional[str] = None,
-    durability=None,
     autoscale=None,
 ) -> SimResult:
     """One full DES run of a strategy on a workload.
@@ -182,7 +189,6 @@ def run_strategy(
         faults=faults,
         obs=obs,
         data_dir=data_dir,
-        durability=durability,
         autoscale=autoscale,
     )
     with PROFILER.phase(f"simulate:{name}"):
@@ -279,8 +285,7 @@ def fig5_overall(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Rep
 
     lat_rows = []
     lat_base = None
-    for name in FIGURE_STRATEGIES:
-        r = run_strategy(name, "rw", scale, seed=seed, n_clients=1, n_ops=scale.n_ops // 4)
+    for name, r in _scenario_results("fig5_latency", scale, seed).items():
         lat = r.mean_latency_ms
         if lat_base is None:
             lat_base = lat
@@ -396,11 +401,10 @@ def table2_cache(scale: Optional[ExperimentScale] = None, seed: int = 42) -> Rep
     )
     rows = []
     data = {}
-    for name in ("C-Hash", "F-Hash", "ML-tree", "Origami"):
-        cold = run_strategy(name, "rw", scale, seed=seed, cache_depth=0)
-        warm = run_strategy(name, "rw", scale, seed=seed, cache_depth=2)
+    runs = _scenario_results("table2_cache", scale, seed)
+    for name, p in _PAPER_TABLE2.items():
+        cold, warm = runs[f"{name}-depth0"], runs[f"{name}-depth2"]
         ct, wt = cold.steady_state_throughput(0.4), warm.steady_state_throughput(0.4)
-        p = _PAPER_TABLE2[name]
         rows.append(
             [
                 name,
@@ -517,16 +521,16 @@ def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> R
         "Origami vs baselines on three traces; paper gains over 2nd best: "
         "RW +73.3%, RO +54.3%, WI +12.5%",
     )
-    datapath = dict(n_servers=8, bandwidth_mb_per_s=800.0, mean_file_kb=32.0, per_op_overhead_ms=0.008)
     meta_rows, e2e_rows = [], []
     data: Dict[str, Dict[str, float]] = {"meta": {}, "e2e": {}}
-    for kind, label in (("rw", "Trace-RW"), ("ro", "Trace-RO"), ("wi", "Trace-WI")):
+    for kind in ("rw", "ro", "wi"):
+        label = f"Trace-{kind.upper()}"
+        runs = _scenario_results(f"fig9_{kind}", scale, seed)
         meta: Dict[str, float] = {}
         e2e: Dict[str, float] = {}
         for name in FIGURE_STRATEGIES:
-            r = run_strategy(name, kind, scale, seed=seed)
-            meta[name] = r.steady_state_throughput(0.4)
-            rd = run_strategy(name, kind, scale, seed=seed, datapath=datapath)
+            meta[name] = runs[name].steady_state_throughput(0.4)
+            rd = runs[f"{name}+data"]
             dur_s = rd.duration_ms / 1000.0
             e2e[name] = rd.data_ops_completed / dur_s if dur_s > 0 else 0.0
         second_best = max(v for k, v in meta.items() if k != "Origami")
@@ -560,8 +564,13 @@ def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> R
 
 
 @experiment
-def theorem1_gap(seed: int = 0, n_instances: int = 6) -> Report:
-    """Empirical Theorem 1: greedy JCT minus exhaustive-optimal JCT < Δ."""
+def theorem1_gap(
+    scale: Optional[ExperimentScale] = None, seed: int = 0, n_instances: int = 6
+) -> Report:
+    """Empirical Theorem 1: greedy JCT minus exhaustive-optimal JCT < Δ.
+
+    ``scale`` is unused: the exhaustive search fixes the instance sizes.
+    """
     from repro.namespace.builder import build_balanced
     from repro.workloads.trace import TraceBuilder
 
@@ -635,10 +644,11 @@ def ablation_cache_depth(scale: Optional[ExperimentScale] = None, seed: int = 42
         "Depth 0 disables the cache; deeper thresholds hide more of the path",
     )
     rows = []
-    for depth in (0, 1, 2, 3, 4):
-        r = run_strategy("Origami", "rw", scale, seed=seed, cache_depth=depth)
+    runs = _scenario_results("cache_depth_origami", scale, seed)
+    for v in get_bench_scenario("cache_depth_origami").variants:
+        r = runs[v.name]
         rows.append(
-            [depth, r.steady_state_throughput(0.4) / 1000, r.rpcs_per_request, r.cache_hit_rate]
+            [v.cache_depth, r.steady_state_throughput(0.4) / 1000, r.rpcs_per_request, r.cache_hit_rate]
         )
     rep.add_table(["cache depth", "kops/s", "rpc/req", "hit rate"], rows)
     return rep
@@ -674,13 +684,7 @@ def ablation_epoch_length(scale: Optional[ExperimentScale] = None, seed: int = 4
     )
     rows = []
     for epoch_ms in (25.0, 50.0, 100.0, 200.0, 400.0):
-        built, trace = build_workload("rw", scale.n_ops, seed)
-        policy, n_mds = make_policy("Origami", "rw", scale)
-        config = SimConfig(
-            n_mds=n_mds, n_clients=scale.n_clients, epoch_ms=epoch_ms,
-            params=default_params(), seed=seed,
-        )
-        r = run_simulation(built.tree, trace, policy, config)
+        r = run_strategy("Origami", "rw", replace(scale, epoch_ms=epoch_ms), seed=seed)
         rows.append([epoch_ms, r.steady_state_throughput(0.4) / 1000, r.migrations])
     rep.add_table(["epoch (ms)", "kops/s", "migrations"], rows)
     return rep
@@ -704,7 +708,7 @@ def ablation_online_learning(scale: Optional[ExperimentScale] = None, seed: int 
     data: Dict[str, float] = {}
 
     def run_policy(label, policy, n_mds=5):
-        built, trace = build_workload("rw", scale.n_ops, seed)
+        built, trace = build_workload("rw", scale.n_ops, seed, tree_scale=scale.tree_scale)
         config = SimConfig(
             n_mds=n_mds,
             n_clients=scale.n_clients,
@@ -746,8 +750,7 @@ def ablation_mdtest_uniform(scale: Optional[ExperimentScale] = None, seed: int =
     )
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for name in ("Single", "Even", "C-Hash", "Lunule", "Origami"):
-        r = run_strategy(name, "mdtest", scale, seed=seed)
+    for name, r in _scenario_results("mdtest_uniform", scale, seed).items():
         tput = r.steady_state_throughput(0.4)
         late = r.per_epoch[len(r.per_epoch) // 2 :]
         late_migr = sum(e.migrations for e in late)
@@ -793,7 +796,7 @@ def ablation_cache_design(scale: Optional[ExperimentScale] = None, seed: int = 4
     for kind, label in (("ro", "Trace-RO"), ("wi", "Trace-WI")):
         data[kind] = {}
         for mode, extra in variants:
-            built, trace = build_workload(kind, scale.n_ops, seed)
+            built, trace = build_workload(kind, scale.n_ops, seed, tree_scale=scale.tree_scale)
             config = SimConfig(
                 n_mds=5,
                 n_clients=scale.n_clients,

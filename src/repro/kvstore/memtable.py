@@ -29,10 +29,6 @@ class MemTable:
     def __len__(self) -> int:
         return len(self._data)
 
-    @property
-    def approx_bytes(self) -> int:
-        return self.bytes_written
-
     def put(self, key: bytes, value: bytes) -> None:
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise TypeError("keys and values must be bytes")

@@ -46,11 +46,6 @@ class DriftingZipf:
         self.drift = drift
         self.segments_advanced = 0
 
-    @property
-    def current_hot(self) -> int:
-        """The currently hottest item (rank 1)."""
-        return int(self._items[0])
-
     def hot_set(self, k: int) -> List[int]:
         return [int(x) for x in self._items[:k]]
 

@@ -1,8 +1,13 @@
 """Scenario model + registry: validation, lookup, built-ins."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.execute import run_variant
 from repro.bench.scenario import (
+    DATAPATH,
+    FIGURE_STRATEGIES,
     BenchScenario,
     BenchVariant,
     get_scenario,
@@ -11,6 +16,7 @@ from repro.bench.scenario import (
     scenario_names,
 )
 from repro.fs.faults import FaultSchedule, Slowdown
+from repro.harness.config import get_scale
 
 
 def make_scenario(name="tmp_scn", **kw):
@@ -29,7 +35,12 @@ def test_builtin_scenarios_registered():
     for expected in (
         "fig2_even_partitioning",
         "fig5_overall",
+        "fig5_latency",
+        "table2_cache",
         "fig8_scalability",
+        "fig9_rw",
+        "fig9_ro",
+        "fig9_wi",
         "crash_failover_rw",
         "mdtest_uniform",
         "cache_depth_origami",
@@ -47,6 +58,49 @@ def test_builtins_subsume_figure_configs():
     assert sizes == [2, 3, 4, 5]
     faulted = get_scenario("crash_failover_rw")
     assert faulted.faults is not None and faulted.faults.has_crashes
+
+    def cells(name, *fields):
+        return [tuple(getattr(v, f) for f in fields) for v in get_scenario(name).variants]
+
+    # Fig 5b: one client on a quarter-length trace
+    assert cells("fig5_latency", "strategy", "n_clients", "ops_factor") == [
+        (s, 1, 0.25) for s in FIGURE_STRATEGIES
+    ]
+    # Table 2: each strategy with the near-root cache off and on
+    assert cells("table2_cache", "strategy", "cache_depth", "n_clients") == [
+        (s, d, None)
+        for s in ("C-Hash", "F-Hash", "ML-tree", "Origami")
+        for d in (0, 2)
+    ]
+    # Fig 9: each strategy without and with the data path, one trace each
+    for kind in ("rw", "ro", "wi"):
+        assert get_scenario(f"fig9_{kind}").kind == kind
+        assert cells(f"fig9_{kind}", "strategy", "datapath", "cache_depth", "n_clients") == [
+            (s, on, 2, None) for s in FIGURE_STRATEGIES for on in (False, True)
+        ]
+    # the cache-depth and mdtest ablations
+    assert cells("cache_depth_origami", "strategy", "cache_depth") == [
+        ("Origami", d) for d in range(5)
+    ]
+    assert cells("mdtest_uniform", "strategy", "n_mds", "datapath") == [
+        (s, None, False) for s in ("Single", "Even", "C-Hash", "Lunule", "Origami")
+    ]
+
+
+def test_datapath_key_only_on_datapath_variants():
+    # absent when off, so the committed BENCH_*.json config blocks stay byte-equal
+    assert "datapath" not in BenchVariant("a", strategy="C-Hash").to_dict()
+    on = BenchVariant("a", strategy="C-Hash", datapath=True).to_dict()
+    assert on["datapath"] == DATAPATH
+
+
+def test_datapath_variant_moves_data_and_its_twin_does_not():
+    scn = get_scenario("fig9_rw")
+    scale = replace(get_scale("smoke"), n_ops=600, n_clients=6)
+    meta, _ = run_variant(scn, scn.variant("C-Hash"), seed=1, scale=scale)
+    full, _ = run_variant(scn, scn.variant("C-Hash+data"), seed=1, scale=scale)
+    assert meta.data_ops_completed == 0
+    assert full.data_ops_completed > 0
 
 
 def test_validation_rejects_bad_scenarios():

@@ -2,12 +2,14 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.fs import SimResult
 from repro.fs.metrics import EpochMetrics
+from repro.harness import experiments
 from repro.harness.config import SCALES, default_params, get_scale
 from repro.harness.experiments import (
     STRATEGY_FACTORIES,
@@ -110,6 +112,24 @@ def test_tree_scale_sizes_every_workload_family(kind):
     generate, _ = WORKLOADS[kind]
     _, direct = generate(SeedSequenceFactory(3).stream(f"workload-{kind}"), n_ops=600)
     assert _columns(trace) == _columns(direct)
+
+
+@pytest.mark.parametrize(
+    "name", ["ablation_epoch_length", "ablation_online_learning", "ablation_cache_design"]
+)
+def test_ablations_replay_the_scaled_tree(monkeypatch, name):
+    seen = []
+    real = experiments.build_workload
+
+    def spy(kind, n_ops, seed, tree_scale=1.0):
+        seen.append((n_ops, tree_scale))
+        return real(kind, n_ops, seed, tree_scale=tree_scale)
+
+    monkeypatch.setattr(experiments, "build_workload", spy)
+    experiments.EXPERIMENTS[name](replace(get_scale("smoke"), n_ops=600, tree_scale=2.0))
+    # the model-training builds are sized by the tier's train_ops, not n_ops
+    replays = [tree_scale for n_ops, tree_scale in seen if n_ops == 600]
+    assert replays and all(t == 2.0 for t in replays)
 
 
 # --------------------------------------------------------------- sim result
