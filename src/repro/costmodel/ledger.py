@@ -135,21 +135,23 @@ class SubtreeLedger:
             raise ValueError("ledger bitset supports at most 64 MDSs")
         prefix_bits = np.zeros(cand.shape[0], dtype=np.uint64)
         cache_depth = params.cache_depth
+        # bitset of uncached owners on the chain root..d inclusive, memoised
+        # per directory: walk up to the nearest memoised ancestor, then fill
+        # the chain back down (iterative: a recursive closure would refer to
+        # itself through its cell, a cycle left behind by every build)
         memo: Dict[int, int] = {ROOT_INO: 0}
-
-        def bits_of(d: int) -> int:
-            """Bitset of uncached owners on the chain root..d inclusive."""
-            got = memo.get(d)
-            if got is not None:
-                return got
-            b = bits_of(int(parents[d]))
-            if depths[d] >= cache_depth:
-                b |= 1 << int(owner_arr[d])
-            memo[d] = b
-            return b
-
         for j, s in enumerate(cand):
-            prefix_bits[j] = bits_of(int(parents[s]))
+            d = int(parents[s])
+            chain = []
+            while d not in memo:
+                chain.append(d)
+                d = int(parents[d])
+            b = memo[d]
+            for d in reversed(chain):
+                if depths[d] >= cache_depth:
+                    b |= 1 << int(owner_arr[d])
+                memo[d] = b
+            prefix_bits[j] = b
         self.cand_prefix_bits = prefix_bits
         self.src_in_prefix = ((prefix_bits >> self.cand_owner.astype(np.uint64)) & 1).astype(bool)
 

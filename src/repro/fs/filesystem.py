@@ -14,6 +14,7 @@ compression is documented in DESIGN.md).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from dataclasses import dataclass, field
@@ -314,25 +315,39 @@ class OrigamiFS:
         # bound now, not at construction: a fault injector or method wrappers
         # installed in between must see every call
         self._client_shared = run_state(self)
-        clients = [
-            self.env.process(ClientWorker(self, w).run())
-            for w in range(self.config.n_clients)
-        ]
-        driver_proc = self.env.process(driver.run())
+        # A replay leaves no cyclic garbage (tests/test_gc_pause.py), so the
+        # cyclic collector would only walk the live clients over and over
+        # (at 100k clients, a third of the replay): pause it from the spawn
+        # until the engine drains, then restore the caller's state.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            clients = [
+                self.env.process(ClientWorker(self, w).run())
+                for w in range(self.config.n_clients)
+            ]
+            driver_proc = self.env.process(driver.run())
 
-        def terminator():
-            # when the last client drains, cancel the driver's pending epoch
-            # timeout so virtual time stops at the last completed operation
-            yield self.env.all_of(clients)
-            if driver_proc.is_alive:
-                driver_proc.interrupt("replay-complete")
-            if self.faults is not None:
-                self.faults.cancel()
+            def terminator():
+                # when the last client drains, cancel the driver's pending
+                # epoch timeout so virtual time stops at the last completed
+                # operation
+                yield self.env.all_of(clients)
+                if driver_proc.is_alive:
+                    driver_proc.interrupt("replay-complete")
+                if self.faults is not None:
+                    self.faults.cancel()
 
-        self.env.process(terminator())
-        wall_t0 = time.perf_counter()
-        self.env.run()
-        wall_s = time.perf_counter() - wall_t0
+            self.env.process(terminator())
+            wall_t0 = time.perf_counter()
+            self.env.run()
+            wall_s = time.perf_counter() - wall_t0
+            # freed by reference counting here, so the collector's first
+            # young collection does not walk every finished client
+            del clients, driver_proc, terminator
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         # duration = when the last operation completed (the driver's cancelled
         # epoch timeout may have dragged env.now further; ignore it)
         duration = self.last_completion_ms

@@ -170,36 +170,35 @@ class Timeout(Event):
 class AllOf(Event):
     """Fires when all child events have fired; value is the list of values."""
 
-    __slots__ = ("_remaining", "_values")
+    __slots__ = ("_remaining", "_events")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        events = list(events)
-        self._values: list = [None] * len(events)
+        self._events = events = list(events)
         self._remaining = len(events)
         if self._remaining == 0:
             self.succeed([])
             return
-        for idx, ev in enumerate(events):
-            self._subscribe(idx, ev)
+        # one bound method serves every child: a closure per child would
+        # add a function and a cell each (every client of a run joins here)
+        on_child = self._on_child
+        for ev in events:
+            if ev._processed:
+                # Already over: fold its outcome in via an urgent event.
+                env._urgent(on_child, ev._value, ev._ok)
+            else:
+                ev.callbacks.append(on_child)
 
-    def _subscribe(self, idx: int, ev: Event) -> None:
-        def on_done(done: Event, _idx: int = idx) -> None:
-            if self._triggered:
-                return
-            if not done._ok:
-                self.fail(done._value)
-                return
-            self._values[_idx] = done._value
-            self._remaining -= 1
-            if self._remaining == 0:
-                self.succeed(list(self._values))
-
-        if ev._processed:
-            # Already over: fold its outcome in via an immediate callback.
-            self.env._immediate(lambda: on_done(ev))
-        else:
-            ev.callbacks.append(on_done)
+    def _on_child(self, done: Event) -> None:
+        if self._triggered:
+            return
+        if not done._ok:
+            self.fail(done._value)
+            return
+        self._remaining -= 1
+        if self._remaining == 0:
+            # every child is processed by now, so each carries its value
+            self.succeed([ev._value for ev in self._events])
 
 
 class AnyOf(Event):
@@ -213,17 +212,16 @@ class AnyOf(Event):
         if not events:
             self.succeed(None)
             return
-
-        def on_done(done: Event) -> None:
-            if self._triggered:
-                return
-            self.trigger(done)
-
+        on_child = self._on_child
         for ev in events:
             if ev._processed:
-                self.env._immediate(lambda e=ev: on_done(e))
+                env._urgent(on_child, ev._value, ev._ok)
             else:
-                ev.callbacks.append(on_done)
+                ev.callbacks.append(on_child)
+
+    def _on_child(self, done: Event) -> None:
+        if not self._triggered:
+            self.trigger(done)
 
 
 class Environment:
@@ -290,13 +288,15 @@ class Environment:
         if len(queue) > self._peak_queue:
             self._peak_queue = len(queue)
 
-    def _immediate(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` as an urgent zero-delay event (keeps causality ordering)."""
+    def _urgent(self, callback: Callable[[Event], None], value: Any = None, ok: bool = True) -> None:
+        """Call ``callback`` from an urgent zero-delay event carrying
+        ``value``/``ok``: it runs before the normal events at the current
+        time, in scheduling order (keeps causality ordering)."""
         ev = Event(self)
         ev._triggered = True
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(lambda _e: fn())
+        ev._ok = ok
+        ev._value = value
+        ev.callbacks.append(callback)
         self._schedule(ev, URGENT, 0.0)
 
     # -- main loop ----------------------------------------------------------

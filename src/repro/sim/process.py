@@ -5,6 +5,11 @@ objects; the process resumes when the yielded event fires, receiving the
 event's value at the ``yield`` expression (or its exception raised in place).
 A :class:`Process` is itself an event that fires when the generator returns,
 so processes can wait on each other (fork/join) with plain ``yield child``.
+
+A process that returns, or ends on an interrupt, leaves no reference cycle
+behind, so a replay frees everything by reference counting
+(``OrigamiFS.run`` pauses the cyclic collector on that premise;
+``tests/test_gc_pause.py`` holds it).
 """
 
 from __future__ import annotations
@@ -30,13 +35,11 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # one bound method for the whole lifetime (a fresh one per yield is
         # measurable on the hot path); interrupt()'s __self__ filter still
-        # matches it
+        # matches it.  It refers back to the process, so it is dropped when
+        # the generator ends.
         self._cb = self._on_event
         # Bootstrap: resume once at the current time.
-        env._immediate(self._bootstrap)
-
-    def _bootstrap(self) -> None:
-        self._resume(None, ok=True)
+        env._urgent(self._cb)
 
     @property
     def is_alive(self) -> bool:
@@ -54,53 +57,13 @@ class Process(Event):
         if target.callbacks is not None:
             target.callbacks = [cb for cb in target.callbacks if getattr(cb, "__self__", None) is not self]
         self._waiting_on = None
-        exc = Interrupt(cause)
-        self.env._immediate(lambda: self._resume(exc, ok=False))
+        self.env._urgent(self._cb, Interrupt(cause), ok=False)
 
     # -- generator stepping -------------------------------------------------
-    def _resume(self, value: Any, ok: bool) -> None:
-        if self._triggered:
-            return
-        gen = self._generator
-        send = gen.send
-        throw = gen.throw
-        cb = self._cb
-        while True:
-            try:
-                target = send(value) if ok else throw(value)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except Interrupt:
-                # An unhandled interrupt terminates the process quietly; the
-                # interrupter decided the work is moot.
-                self.succeed(None)
-                return
-            except BaseException as exc:
-                # An uncaught exception fails the process event: waiters see
-                # it raised at their yield; if nobody waits, the engine
-                # surfaces it when the failed event fires unobserved.
-                self.fail(exc)
-                return
-
-            # duck-typed event check: slot access doubles as the type guard
-            try:
-                if target._processed:
-                    # Already over: continue synchronously with its outcome.
-                    value, ok = target._value, target._ok
-                    continue
-            except AttributeError:
-                gen.throw(TypeError(f"process yielded non-event {target!r}"))
-                return
-
-            self._waiting_on = target
-            target.callbacks.append(cb)
-            return
-
     def _on_event(self, event: Event) -> None:
-        # body of _resume(event._value, event._ok) copied inline: this is
-        # the engine's per-event callback, and the extra frame is measurable
-        # at millions of events — keep the two loops in lockstep
+        # the engine's per-event callback: send the event's outcome into the
+        # generator, and keep going synchronously while it yields events
+        # that are already over
         self._waiting_on = None
         if self._triggered:
             return
@@ -113,17 +76,30 @@ class Process(Event):
             try:
                 target = send(value) if ok else throw(value)
             except StopIteration as stop:
+                self._cb = None
                 self.succeed(stop.value)
                 return
-            except Interrupt:
+            except Interrupt as exc:
+                # An unhandled interrupt terminates the process quietly; the
+                # interrupter decided the work is moot.  Its traceback holds
+                # this frame, whose ``value`` holds the interrupt: drop it,
+                # or the pair is cyclic garbage pinning every caller's frame.
+                exc.__traceback__ = None
+                self._cb = None
                 self.succeed(None)
                 return
             except BaseException as exc:
+                # An uncaught exception fails the process event: waiters see
+                # it raised at their yield; if nobody waits, the engine
+                # surfaces it when the failed event fires unobserved.
+                self._cb = None
                 self.fail(exc)
                 return
 
+            # duck-typed event check: slot access doubles as the type guard
             try:
                 if target._processed:
+                    # Already over: continue synchronously with its outcome.
                     value, ok = target._value, target._ok
                     continue
             except AttributeError:

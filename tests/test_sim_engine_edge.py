@@ -1,5 +1,7 @@
 """Edge-case coverage for the DES kernel beyond the basics."""
 
+import gc
+
 import pytest
 
 from repro.sim import Environment, Interrupt
@@ -154,3 +156,76 @@ def test_run_until_between_events():
     assert env.now == 15.0
     env.run()  # resume to completion
     assert seen == [10.0, 20.0]
+
+
+def test_all_of_mixes_processed_and_pending_children_in_child_order():
+    """Children already processed when the join is made are folded in by
+    urgent events; the values still come back in child order."""
+    env = Environment()
+    got = []
+
+    def parent():
+        early = env.timeout(1.0, value="early")
+        late = env.timeout(5.0, value="late")
+        also_early = env.timeout(1.0, value="also-early")
+        yield env.timeout(2.0)  # both early children are processed now
+        got.append((yield env.all_of([late, early, also_early])))
+        got.append(env.now)
+        got.append((yield env.all_of([early, also_early])))
+        got.append(env.now)
+
+    env.process(parent())
+    env.run()
+    assert got == [["late", "early", "also-early"], 5.0, ["early", "also-early"], 5.0]
+
+
+def test_process_that_returns_at_once_costs_two_events():
+    """One event resumes it for the first time, one fires its completion."""
+    env = Environment()
+
+    def instant():
+        return "v"
+        yield  # unreachable; makes this a generator
+
+    p = env.process(instant())
+    env.run()
+    assert env.events_processed == 2
+    assert p.value == "v" and not p.is_alive
+
+
+def test_interrupt_before_first_resume_raises():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1.0)
+
+    p = env.process(proc())
+    with pytest.raises(RuntimeError, match="not waiting on an event yet"):
+        p.interrupt()
+    env.run()  # the interrupt was refused: the process runs to completion
+    assert not p.is_alive and env.now == 1.0
+
+
+def test_ended_processes_leave_no_cyclic_garbage():
+    """Returned, joined and interrupted processes are freed by reference
+    counting alone."""
+    env = Environment()
+    log = []
+
+    def sleeper(ms):
+        yield env.timeout(ms)
+        log.append(ms)
+
+    def joiner(kids, victim):
+        yield env.all_of(kids)
+        victim.interrupt("done")
+
+    env.process(joiner([env.process(sleeper(1.0)) for _ in range(3)], env.process(sleeper(9.0))))
+    gc.collect()
+    gc.disable()
+    try:
+        env.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert log == [1.0, 1.0, 1.0]  # the victim never woke
