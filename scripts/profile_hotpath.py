@@ -21,6 +21,11 @@ instrumentation itself roughly halves it.
 balancer epoch (feature extraction, GBDT inference, greedy search) only
 shows up in its profile.
 
+Under the table the script prints what CPython's cyclic collector did during
+the profiled call (collections, seconds and objects freed per generation,
+from ``gc.callbacks``): cProfile charges a collection to whichever call
+happened to allocate, so the table cannot show that layer.
+
 The same table is available on any simulation via ``repro simulate
 --profile``; this helper just fixes the configuration to the one the
 optimization work measured (Lunule on Trace-RW, default tier, seed 42).
@@ -29,16 +34,45 @@ optimization work measured (Lunule on Trace-RW, default tier, seed 42).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
+import gc
 import json
 import pstats
 import sys
+import time
 
 
 def run(strategy: str, kind: str, scale, seed: int):
     from repro.harness.experiments import run_strategy
 
     return run_strategy(strategy, kind, scale, seed=seed)
+
+
+@contextlib.contextmanager
+def collector_activity():
+    """Per generation, what the cyclic collector did inside the block:
+    ``{"gen0": {"collections", "seconds", "objects_freed"}, ...}``."""
+    per_gen = {
+        f"gen{g}": {"collections": 0, "seconds": 0.0, "objects_freed": 0} for g in range(3)
+    }
+    started = 0.0
+
+    def on_collect(phase, info):
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+            return
+        row = per_gen[f"gen{info['generation']}"]
+        row["collections"] += 1
+        row["seconds"] += time.perf_counter() - started
+        row["objects_freed"] += info["collected"]
+
+    gc.callbacks.append(on_collect)
+    try:
+        yield per_gen
+    finally:
+        gc.callbacks.remove(on_collect)
 
 
 def _hotspot_rows(stats: pstats.Stats, top: int) -> list:
@@ -88,9 +122,10 @@ def main(argv=None) -> int:
           f"tree_scale={scale.tree_scale:g}), seed={args.seed}")
 
     profiler = cProfile.Profile()
-    profiler.enable()
-    result = run(args.strategy, args.kind, scale, args.seed)
-    profiler.disable()
+    with collector_activity() as collector:
+        profiler.enable()
+        result = run(args.strategy, args.kind, scale, args.seed)
+        profiler.disable()
 
     print(f"run: {result.ops_completed:,} ops, {result.engine_events:,} engine "
           f"events in {result.wall_s:.2f} wall s "
@@ -98,6 +133,11 @@ def main(argv=None) -> int:
     print()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
+    print("cyclic collector during the profiled call (gc.callbacks):")
+    for gen, row in collector.items():
+        print(f"  {gen}: {row['collections']:,} collections, {row['seconds']:.3f} s, "
+              f"{row['objects_freed']:,} objects freed")
+    print()
 
     best = None
     if args.repeat > 0:
@@ -129,6 +169,10 @@ def main(argv=None) -> int:
                 round(best, 1) if best is not None else None
             ),
             "hotspots": _hotspot_rows(stats, args.top),
+            "gc": {
+                gen: dict(row, seconds=round(row["seconds"], 6))
+                for gen, row in collector.items()
+            },
         }
         with open(args.json_path, "w") as f:
             json.dump(payload, f, indent=2)
