@@ -42,7 +42,12 @@ class DriftingZipf:
         self._rng = rng
         self._items = np.asarray(items).copy()
         self._rng.shuffle(self._items)
-        self._weights = rng.zipf_weights(len(self._items), alpha)
+        # Generator.choice(n, size, p=w) normalizes cumsum(w) and searches
+        # it with size uniforms on every call; the weights never change (only
+        # the rank map drifts), so the CDF is built once and sample() draws
+        # exactly what choice() would
+        cumw = np.cumsum(rng.zipf_weights(len(self._items), alpha))
+        self._cdf = cumw / cumw[-1]
         self.drift = drift
         self.segments_advanced = 0
 
@@ -50,8 +55,8 @@ class DriftingZipf:
         return [int(x) for x in self._items[:k]]
 
     def sample(self, size: int) -> np.ndarray:
-        idx = self._rng.choice(len(self._items), size=size, p=self._weights)
-        return self._items[idx]
+        uniforms = self._rng.random(size)
+        return self._items[self._cdf.searchsorted(uniforms, side="right")]
 
     def advance(self) -> None:
         """Move to the next segment: re-shuffle ``drift`` of the rank map."""
