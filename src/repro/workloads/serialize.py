@@ -92,7 +92,8 @@ def load_bundle(path: str) -> Tuple[NamespaceTree, Optional[Trace]]:
 
 
 def _rebuild_tree(parent, ftype, alive, size, names) -> NamespaceTree:
-    """Replay creations in ino order (parents always precede children).
+    """Recreate every ino in order with one bulk create (parents precede
+    children in a saved tree).
 
     Dead inos are materialised then removed so ino numbering is preserved —
     traces reference inos, so numbering must survive the round trip.
@@ -100,23 +101,19 @@ def _rebuild_tree(parent, ftype, alive, size, names) -> NamespaceTree:
     n = parent.shape[0]
     if not (ftype.shape[0] == alive.shape[0] == size.shape[0] == n and len(names) == n):
         raise ValueError("bundle is corrupt: array lengths disagree")
+    dead = (np.flatnonzero(~np.asarray(alive[1:], dtype=bool)) + 1).tolist()
+    entry_names = names[1:]
+    for ino in dead:
+        # a removed entry's name may have been reused by a live one; dead
+        # entries get placeholder names (they are removed below)
+        entry_names[ino - 1] = f"__dead_{ino}"
     tree = NamespaceTree()
-    dead = []
-    for ino in range(1, n):
-        p = int(parent[ino])
-        name = names[ino]
-        if not alive[ino]:
-            # a removed entry's name may have been reused by a live one;
-            # dead entries get placeholder names (they are removed below)
-            name = f"__dead_{ino}"
-        if ftype[ino] == int(FileType.DIRECTORY):
-            got = tree.create_dir(p, name)
-        else:
-            got = tree.create_file(p, name, size=int(size[ino]))
-        if got != ino:
-            raise ValueError(f"bundle is corrupt: ino drift at {ino}")
-        if not alive[ino]:
-            dead.append(ino)
+    try:
+        tree.create_many(
+            parent[1:], entry_names, ftype[1:] == int(FileType.DIRECTORY), size[1:]
+        )
+    except (KeyError, NotADirectoryError, FileExistsError, ValueError) as exc:
+        raise ValueError(f"bundle is corrupt: {exc.args[0]}") from exc
     # remove dead entries deepest-first so directories empty out before rmdir
     for ino in sorted(dead, key=tree.depth, reverse=True):
         tree.remove(ino)

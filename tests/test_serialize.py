@@ -86,3 +86,47 @@ def test_load_rejects_bad_version(tmp_path):
     np.savez(path, header=header)
     with pytest.raises(ValueError):
         load_bundle(path)
+
+
+def _saved_arrays(tmp_path, tree):
+    path = str(tmp_path / "ok.npz")
+    save_bundle(path, tree)
+    with np.load(path) as z:
+        return {name: z[name].copy() for name in z.files}
+
+
+def _load_corrupt(tmp_path, arrays, names=None):
+    if names is not None:
+        arrays["names"] = np.frombuffer("\x00".join(names).encode(), dtype=np.uint8)
+    path = str(tmp_path / "corrupt.npz")
+    np.savez(path, **arrays)
+    return load_bundle(path)
+
+
+def test_load_rejects_parent_after_child(tmp_path):
+    tree = NamespaceTree()
+    a = tree.create_dir(0, "a")
+    tree.create_file(a, "f")
+    arrays = _saved_arrays(tmp_path, tree)
+    arrays["parent"][a] = 2  # a's parent is its own later child
+    with pytest.raises(ValueError, match="bundle is corrupt"):
+        _load_corrupt(tmp_path, arrays)
+
+
+def test_load_rejects_file_as_parent(tmp_path):
+    tree = NamespaceTree()
+    tree.create_file(0, "f")
+    d = tree.create_dir(0, "d")
+    arrays = _saved_arrays(tmp_path, tree)
+    arrays["parent"][d] = 1  # d under the file f
+    with pytest.raises(ValueError, match="bundle is corrupt"):
+        _load_corrupt(tmp_path, arrays)
+
+
+def test_load_rejects_duplicate_sibling(tmp_path):
+    tree = NamespaceTree()
+    tree.create_dir(0, "a")
+    tree.create_file(0, "b")
+    arrays = _saved_arrays(tmp_path, tree)
+    with pytest.raises(ValueError, match="bundle is corrupt"):
+        _load_corrupt(tmp_path, arrays, names=["", "a", "a"])
