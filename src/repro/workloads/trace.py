@@ -18,6 +18,7 @@ namespace.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -68,9 +69,15 @@ class Trace:
         return int(self.op.shape[0])
 
     def __getitem__(self, sl) -> "Trace":
-        """Slice into a sub-trace (epoch windows)."""
-        if isinstance(sl, int):
-            sl = slice(sl, sl + 1)
+        """Slice into a sub-trace (epoch windows); an integer index gives
+        the one-op trace of that op, counting negative indices from the end."""
+        if not isinstance(sl, slice):
+            i = operator.index(sl)
+            n = len(self)
+            if not -n <= i < n:
+                raise IndexError(f"trace index {i} out of range for {n} ops")
+            i %= n
+            sl = slice(i, i + 1)
         names = self.names[sl] if self.names is not None else None
         think = self.think_ms[sl] if self.think_ms is not None else None
         return Trace(

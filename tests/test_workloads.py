@@ -53,6 +53,38 @@ def test_trace_slicing_and_epochs():
         list(tr.epochs(0))
 
 
+@pytest.mark.parametrize("index, ino", [(0, 0), (3, 3), (-1, 9), (-10, 0), (np.int64(1), 1)])
+def test_trace_integer_index_is_a_one_op_trace(index, ino):
+    tb = TraceBuilder(label="t")
+    for i in range(10):
+        tb.stat(i, f"n{i}")
+        tb.think(0.5 + i)
+    one = tb.build()[index]
+    assert len(one) == 1
+    assert list(one.dir_ino) == [ino]
+    assert one.names == [f"n{ino}"]
+    assert list(one.think_ms) == [0.5 + ino]
+    assert one.label == "t"
+
+
+@pytest.mark.parametrize("index", [10, 11, -11, np.int64(10)])
+def test_trace_integer_index_out_of_range_raises(index):
+    tb = TraceBuilder()
+    for i in range(10):
+        tb.stat(i, f"n{i}")
+    with pytest.raises(IndexError):
+        tb.build()[index]
+    with pytest.raises(IndexError):
+        TraceBuilder().build()[0]
+
+
+def test_trace_index_rejects_non_integers():
+    tb = TraceBuilder()
+    tb.stat(1, "a")
+    with pytest.raises(TypeError):
+        tb.build()[0.0]
+
+
 def test_trace_concat_and_mix():
     a = TraceBuilder()
     a.stat(1, "x")
