@@ -98,7 +98,7 @@ def run_state(fs) -> tuple:
             for s in servers
         ),
         params.t_exec_table,
-        params.rtt if fs.config.rtt_jitter == 0 else None,
+        params.rtt,
         fs._ops,
         fs._dir_inos,
         fs._aux,
@@ -385,12 +385,11 @@ class ClientWorker:
                                 server.total_rpcs += 1
                                 my_rpcs += 1
                                 # network round trip to this MDS
-                                hop = rtt if rtt is not None else fs.network_rtt()
                                 if span is not None:
-                                    span.net_ms += hop
+                                    span.net_ms += rtt
                                     span.rpcs += 1
                                     span.mds_visited.append(mds)
-                                yield TO(env, hop)
+                                yield TO(env, rtt)
                                 # the MdsServer.service hold, inlined
                                 if isp:
                                     svc += t_exec

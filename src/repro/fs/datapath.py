@@ -33,7 +33,7 @@ class DataCluster:
         if bandwidth_mb_per_s <= 0:
             raise ValueError("bandwidth must be positive")
         self.env = env
-        self.servers = [Resource(env, capacity=1) for _ in range(n_servers)]
+        self.servers = [Resource(env) for _ in range(n_servers)]
         self.bandwidth = bandwidth_mb_per_s
         self.per_op_overhead_ms = per_op_overhead_ms
         self.mean_file_kb = mean_file_kb
@@ -45,9 +45,12 @@ class DataCluster:
         size_kb = fs.rng.exponential(self.mean_file_kb)
         server = self.servers[key % len(self.servers)]
         duration = self.per_op_overhead_ms + (size_kb / 1024.0) / self.bandwidth * 1000.0
-        with server.request() as req:
+        req = server.request()
+        try:
             yield req
             yield self.env.timeout(duration)
+        finally:
+            server.release(req)
         self.transfers += 1
         self.bytes_moved += int(size_kb * 1024)
         fs.data_ops_completed += 1

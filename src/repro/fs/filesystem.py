@@ -55,14 +55,10 @@ class SimConfig:
     #: store inodes in per-MDS LSM stores and move them on migration
     use_kvstore: bool = False
     migration_cost_per_inode_ms: float = 0.002
-    service_concurrency: int = 1
-    #: lognormal-ish RTT jitter fraction (0 = deterministic network)
-    rtt_jitter: float = 0.0
     #: client cache design: "near-root" (the paper's, driven by
     #: params.cache_depth), "lease" (full TTL-lease cache — the alternative
     #: the paper rejects; DES-only), or "none"
     cache_mode: str = "near-root"
-    lease_ttl_ms: float = 50.0
     lease_recall_cost_ms: float = 0.05
     #: how many upcoming ops the oracle policy may see
     oracle_window_ops: int = 5000
@@ -133,7 +129,6 @@ class OrigamiFS:
         ssf = SeedSequenceFactory(self.config.seed)
         self._ssf = ssf  # retained so the Checkpointer can snapshot streams
         self.rng = ssf.stream("fs")
-        self._net_rng = ssf.stream("network")
 
         self.obs = self.config.obs if self.config.obs is not None else NULL_OBS
         #: live per-op latency histogram (a no-op singleton when metrics
@@ -170,7 +165,6 @@ class OrigamiFS:
             MdsServer(
                 self.env,
                 i,
-                service_concurrency=self.config.service_concurrency,
                 use_kvstore=self.use_kvstore,
                 registry=self.obs.registry,
                 data_dir=(
@@ -206,9 +200,7 @@ class OrigamiFS:
                     s.durability_ms_total = 0.0
         if self.config.cache_mode == "lease":
             self.cache = LeaseCache(
-                tree,
-                ttl_ms=self.config.lease_ttl_ms,
-                recall_cost_ms=self.config.lease_recall_cost_ms,
+                tree, recall_cost_ms=self.config.lease_recall_cost_ms
             )
         elif self.config.cache_mode == "none":
             self.cache = NearRootCache(tree, 0)
@@ -294,12 +286,6 @@ class OrigamiFS:
     def upcoming(self, n: int) -> Trace:
         """The next ``n`` not-yet-issued operations (oracle's view)."""
         return self.trace[self.cursor : self.cursor + n]
-
-    def network_rtt(self) -> float:
-        rtt = self.params.rtt
-        if self.config.rtt_jitter > 0:
-            rtt *= 1.0 + self.config.rtt_jitter * float(self._net_rng.exponential(1.0))
-        return rtt
 
     def cache_covers_depth(self, depth: int) -> bool:
         """Near-root coverage of the *target entry* (files are never leased)."""

@@ -39,7 +39,6 @@ class MdsServer:
         self,
         env: Environment,
         mds_id: int,
-        service_concurrency: int = 1,
         use_kvstore: bool = False,
         registry: Optional[MetricsRegistry] = None,
         data_dir: Optional[str] = None,
@@ -47,7 +46,7 @@ class MdsServer:
     ):
         self.env = env
         self.mds_id = mds_id
-        self.resource = Resource(env, capacity=service_concurrency)
+        self.resource = Resource(env)
         #: liveness + crash generation; only consulted when faults are attached
         self.up = True
         self.incarnation = 0

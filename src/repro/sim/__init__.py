@@ -7,7 +7,12 @@ generator-based processes scheduled by :class:`~repro.sim.engine.Environment`.
 The kernel is intentionally SimPy-flavoured (``env.process``, ``env.timeout``,
 ``yield event``) so the simulator code in :mod:`repro.fs` reads like standard
 DES code, but it is self-contained, deterministic, and tuned for the event
-rates this workload produces (millions of events per run):
+rates this workload produces (millions of events per run).  It carries only
+what the cluster model uses: timeouts, processes, one join (``all_of``),
+interrupts, and one-slot FIFO service queues
+(:class:`~repro.sim.resources.Resource`), driven by one event loop
+(:meth:`~repro.sim.engine.Environment.run`, which runs until the calendar
+drains):
 
 * the event heap stores plain tuples, no per-event object churn beyond the
   :class:`~repro.sim.engine.Event` instances the model already needs;
@@ -21,7 +26,7 @@ rates this workload produces (millions of events per run):
 from repro.sim.durcost import DurabilityCostModel
 from repro.sim.engine import Environment, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import FifoQueue, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngStream, SeedSequenceFactory
 
 __all__ = [
@@ -32,8 +37,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Resource",
-    "Store",
-    "FifoQueue",
     "RngStream",
     "SeedSequenceFactory",
 ]

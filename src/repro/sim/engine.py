@@ -20,17 +20,17 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["Environment", "Event", "Timeout", "Interrupt", "StopSimulation"]
+__all__ = ["Environment", "Event", "Timeout", "Interrupt"]
 
 #: priority for ordinary events
 NORMAL = 1
 #: priority for "urgent" bookkeeping events (fire before normal ones at t)
 URGENT = 0
 
-#: pre-shifted heap-key bases; sequence numbers stay far below 2**62 (a run
-#: issuing a billion events per second would take a century to overflow)
+#: pre-shifted heap-key base of normal events; sequence numbers stay far
+#: below 2**62 (a run issuing a billion events per second would take a
+#: century to overflow)
 _NORMAL_KEY = NORMAL << 62
-_URGENT_KEY = URGENT << 62
 
 #: lazily bound Process class (circular import; see Environment.process)
 _Process = None
@@ -40,17 +40,13 @@ class Interrupt(Exception):
     """Thrown into a process that another process interrupted.
 
     ``cause`` carries whatever the interrupter supplied.  The metadata
-    simulator uses interrupts to cancel in-flight client requests when a run
-    is truncated at a deadline.
+    simulator uses interrupts to stop the epoch driver and the fault
+    timeline when the replay drains.
     """
 
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
-
-
-class StopSimulation(Exception):
-    """Raised internally to stop :meth:`Environment.run` at ``until``."""
 
 
 class Event:
@@ -76,18 +72,6 @@ class Event:
         self._processed = False
 
     # -- state ----------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
-    def ok(self) -> bool:
-        return self._ok
-
     @property
     def value(self) -> Any:
         if self._value is Event._PENDING:
@@ -119,20 +103,8 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        env = self.env
-        env._seq = seq = env._seq + 1
-        queue = env._queue
-        heappush(queue, (env._now, _NORMAL_KEY | seq, self))
-        if len(queue) > env._peak_queue:
-            env._peak_queue = len(queue)
+        self.env._schedule(self, NORMAL, 0.0)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome (used by condition events)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
     def __repr__(self) -> str:
         state = (
@@ -201,34 +173,11 @@ class AllOf(Event):
             self.succeed([ev._value for ev in self._events])
 
 
-class AnyOf(Event):
-    """Fires when the first child event fires; value is that event's value."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        events = list(events)
-        if not events:
-            self.succeed(None)
-            return
-        on_child = self._on_child
-        for ev in events:
-            if ev._processed:
-                env._urgent(on_child, ev._value, ev._ok)
-            else:
-                ev.callbacks.append(on_child)
-
-    def _on_child(self, done: Event) -> None:
-        if not self._triggered:
-            self.trigger(done)
-
-
 class Environment:
     """The event calendar plus factory helpers for events and processes."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list = []
         self._seq = 0
         self._event_count = 0
@@ -259,17 +208,11 @@ class Environment:
         return self._peak_queue
 
     # -- factories ---------------------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def process(self, generator) -> "Process":
         # late import (circular: process.py imports engine.py), cached in a
@@ -299,29 +242,6 @@ class Environment:
         ev.callbacks.append(callback)
         self._schedule(ev, URGENT, 0.0)
 
-    # -- main loop ----------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one event. Raises IndexError if the calendar is empty."""
-        t, _key, event = heappop(self._queue)
-        self._now = t
-        tl = self.timeline
-        if tl is not None and t >= tl.window_end_ms:
-            tl.advance(t)
-        self._event_count += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not callbacks:
-            # A failed event nobody waited on would silently swallow the
-            # exception; surface it instead.
-            raise event._value
-
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` when the calendar is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def warp(self, to_time: float) -> None:
         """Jump the clock forward on an *empty* calendar (checkpoint restore).
 
@@ -336,21 +256,15 @@ class Environment:
             raise ValueError(f"warp target {to_time} lies in the past (now={self._now})")
         self._now = to_time
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the calendar drains or virtual time reaches ``until``.
+    # -- main loop ----------------------------------------------------------
+    def run(self) -> None:
+        """Fire events in calendar order until the calendar drains.
 
-        When ``until`` is given, the clock is advanced exactly to ``until``
-        even if the last event fires earlier, so post-run statistics can
-        normalise by the intended horizon.
+        One Python frame per event, with local bindings for the queue and
+        the event counter.  ``count`` is flushed back before every timeline
+        roll-over — window-close telemetry reads ``events_processed`` — and
+        unconditionally on the way out.
         """
-        if until is not None:
-            until = float(until)
-            if until < self._now:
-                raise ValueError(f"until={until} lies in the past (now={self._now})")
-        # Inlined step(): one Python frame per event (not two) and local
-        # bindings for the queue and event counter.  ``count`` is flushed
-        # back before every timeline roll-over — window-close telemetry
-        # reads ``events_processed`` — and unconditionally on the way out.
         queue = self._queue
         pop = heappop
         count = self._event_count
@@ -358,44 +272,22 @@ class Environment:
         # so it can be bound once outside the loop
         tl = self.timeline
         try:
-            if until is None:
-                while queue:
-                    t, _key, event = pop(queue)
-                    self._now = t
-                    if tl is not None and t >= tl.window_end_ms:
-                        self._event_count = count
-                        tl.advance(t)
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    elif not event._ok:
-                        raise event._value
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return
-                    t, _key, event = pop(queue)
-                    self._now = t
-                    if tl is not None and t >= tl.window_end_ms:
-                        self._event_count = count
-                        tl.advance(t)
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    elif not event._ok:
-                        raise event._value
-        except StopSimulation:
-            return
+            while queue:
+                t, _key, event = pop(queue)
+                self._now = t
+                if tl is not None and t >= tl.window_end_ms:
+                    self._event_count = count
+                    tl.advance(t)
+                count += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    for cb in callbacks:
+                        cb(event)
+                elif not event._ok:
+                    # a failed event nobody waited on would silently swallow
+                    # the exception: surface it instead
+                    raise event._value
         finally:
             self._event_count = count
-        if until is not None:
-            self._now = until

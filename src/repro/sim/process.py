@@ -24,15 +24,14 @@ __all__ = ["Process"]
 class Process(Event):
     """Drives a generator; fires (as an event) with the generator's return value."""
 
-    __slots__ = ("_generator", "_waiting_on", "name", "_cb")
+    __slots__ = ("_generator", "_waiting_on", "_cb")
 
-    def __init__(self, env: Environment, generator: Generator, name: str = ""):
+    def __init__(self, env: Environment, generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        self.name = name or getattr(generator, "__name__", "process")
         # one bound method for the whole lifetime (a fresh one per yield is
         # measurable on the hot path); interrupt()'s __self__ filter still
         # matches it.  It refers back to the process, so it is dropped when
@@ -48,9 +47,9 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
         if self._triggered:
-            raise RuntimeError(f"{self.name} has already terminated")
+            raise RuntimeError(f"{self!r} has already terminated")
         if self._waiting_on is None:
-            raise RuntimeError(f"{self.name} is not waiting on an event yet")
+            raise RuntimeError(f"{self!r} is not waiting on an event yet")
         target = self._waiting_on
         # Detach from whatever it waited on so the original event firing
         # later does not double-resume the process.

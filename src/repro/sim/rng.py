@@ -1,9 +1,9 @@
 """Deterministic, hierarchically-named random number streams.
 
-Every stochastic component in the reproduction (trace generators, network
-jitter, service-time noise, ML initialisation) draws from its own named child
-stream, derived from a root seed with :class:`numpy.random.SeedSequence`
-spawning keyed by a stable string.  Two properties follow:
+Every stochastic component in the reproduction (trace generators, balancer
+set-up, fault coin flips and backoff, ML initialisation) draws from its own
+named child stream, derived from a root seed with
+:class:`numpy.random.SeedSequence` spawning keyed by a stable string.  Two properties follow:
 
 * runs are bit-reproducible given the root seed;
 * adding or removing one component does not shift any other component's

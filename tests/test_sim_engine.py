@@ -1,8 +1,8 @@
-"""Unit tests for the DES kernel: events, ordering, timeouts, run horizon."""
+"""Unit tests for the DES kernel: events, ordering, timeouts, processes."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Event, Interrupt
 
 
 def test_timeout_fires_at_delay():
@@ -54,28 +54,9 @@ def test_same_time_events_fifo_order():
     assert order == list(range(10))
 
 
-def test_run_until_stops_clock_exactly():
-    env = Environment()
-
-    def proc():
-        while True:
-            yield env.timeout(10.0)
-
-    env.process(proc())
-    env.run(until=35.0)
-    assert env.now == 35.0
-
-
-def test_run_until_past_raises():
-    env = Environment()
-    env.run(until=0.0)
-    with pytest.raises(ValueError):
-        env.run(until=-1.0)
-
-
 def test_event_succeed_wakes_waiter():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     got = []
 
     def waiter():
@@ -94,7 +75,7 @@ def test_event_succeed_wakes_waiter():
 
 def test_event_double_trigger_raises():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.succeed(1)
     with pytest.raises(RuntimeError):
         ev.succeed(2)
@@ -102,7 +83,7 @@ def test_event_double_trigger_raises():
 
 def test_failed_event_raises_in_waiter():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     caught = []
 
     def waiter():
@@ -123,7 +104,7 @@ def test_failed_event_raises_in_waiter():
 
 def test_failed_event_without_waiter_propagates():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.fail(RuntimeError("unobserved"))
     with pytest.raises(RuntimeError, match="unobserved"):
         env.run()
@@ -185,24 +166,6 @@ def test_all_of_collects_values():
     env.process(parent())
     env.run()
     assert results == [([4.0, 2.0, 6.0], 6.0)]
-
-
-def test_any_of_returns_first():
-    env = Environment()
-    results = []
-
-    def child(n):
-        yield env.timeout(n)
-        return n
-
-    def parent():
-        kids = [env.process(child(n)) for n in (4.0, 2.0, 6.0)]
-        v = yield env.any_of(kids)
-        results.append((v, env.now))
-
-    env.process(parent())
-    env.run()
-    assert results == [(2.0, 2.0)]
 
 
 def test_all_of_empty_fires_immediately():
@@ -270,10 +233,8 @@ def test_event_counter_and_peek():
         yield env.timeout(2.0)
 
     env.process(proc())
-    assert env.peek() == 0.0  # bootstrap event
     env.run()
     assert env.events_processed >= 3
-    assert env.peek() == float("inf")
 
 
 def test_deterministic_replay():

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Event, Interrupt
 
 
 def test_all_of_failure_propagates():
@@ -126,7 +126,7 @@ def test_chained_immediate_events_terminate():
     done = []
 
     def proc():
-        ev = env.event()
+        ev = Event(env)
         ev.succeed("v")
         yield env.timeout(0.0)
         # ev is processed by now; waiting resumes synchronously many times
@@ -138,24 +138,6 @@ def test_chained_immediate_events_terminate():
     env.process(proc())
     env.run()
     assert done == [True]
-
-
-def test_run_until_between_events():
-    env = Environment()
-    seen = []
-
-    def proc():
-        yield env.timeout(10.0)
-        seen.append(env.now)
-        yield env.timeout(10.0)
-        seen.append(env.now)
-
-    env.process(proc())
-    env.run(until=15.0)
-    assert seen == [10.0]
-    assert env.now == 15.0
-    env.run()  # resume to completion
-    assert seen == [10.0, 20.0]
 
 
 def test_all_of_mixes_processed_and_pending_children_in_child_order():

@@ -1,11 +1,11 @@
-"""Unit tests for Resource / Store / FifoQueue."""
+"""Unit tests for Resource, the one-slot FIFO service queue."""
 
-from repro.sim import Environment, FifoQueue, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def test_resource_serialises_access():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     log = []
 
     def user(tag, hold):
@@ -27,32 +27,17 @@ def test_resource_serialises_access():
     ]
 
 
-def test_resource_capacity_two_runs_concurrently():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    ends = []
-
-    def user(hold):
-        with res.request() as req:
-            yield req
-            yield env.timeout(hold)
-        ends.append(env.now)
-
-    for _ in range(4):
-        env.process(user(10.0))
-    env.run()
-    # two waves of two
-    assert ends == [10.0, 10.0, 20.0, 20.0]
-
-
 def test_resource_wait_time_accounting():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
 
     def user(hold):
-        with res.request() as req:
+        req = res.request()
+        try:
             yield req
             yield env.timeout(hold)
+        finally:
+            res.release(req)
 
     env.process(user(4.0))
     env.process(user(4.0))
@@ -67,13 +52,16 @@ def test_resource_wait_time_accounting():
 
 def test_resource_cancel_queued_request():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     got = []
 
     def holder():
-        with res.request() as req:
+        req = res.request()
+        try:
             yield req
             yield env.timeout(10.0)
+        finally:
+            res.release(req)
 
     def impatient():
         req = res.request()
@@ -86,78 +74,3 @@ def test_resource_cancel_queued_request():
     env.process(impatient())
     env.run()
     assert got == [0]
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        yield env.timeout(1.0)
-        store.put("x")
-        store.put("y")
-
-    def consumer():
-        a = yield store.get()
-        b = yield store.get()
-        got.append((a, b, env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [("x", "y", 1.0)]
-
-
-def test_store_get_before_put_blocks():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        v = yield store.get()
-        got.append((v, env.now))
-
-    def producer():
-        yield env.timeout(9.0)
-        store.put(7)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(7, 9.0)]
-
-
-def test_store_fifo_among_getters():
-    env = Environment()
-    store = Store(env)
-    order = []
-
-    def consumer(tag):
-        v = yield store.get()
-        order.append((tag, v))
-
-    def producer():
-        yield env.timeout(1.0)
-        for i in range(3):
-            store.put(i)
-
-    for tag in "abc":
-        env.process(consumer(tag))
-    env.process(producer())
-    env.run()
-    assert order == [("a", 0), ("b", 1), ("c", 2)]
-
-
-def test_fifo_queue_peak_tracking():
-    q = FifoQueue()
-    assert len(q) == 0
-    assert q.peek() is None
-    for i in range(5):
-        q.push(i)
-    assert q.peak == 5
-    assert q.pop() == 0
-    assert q.peek() == 1
-    q.push(9)
-    assert q.peak == 5  # never exceeded 5
-    assert len(q) == 5
