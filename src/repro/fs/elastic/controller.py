@@ -224,11 +224,8 @@ class MDSPoolController:
     # -------------------------------------------------------------- signals
     def _window_util(self) -> np.ndarray:
         """Recent per-window cluster utilization from the telemetry timeline."""
-        timeline = getattr(self.fs.obs, "timeline", None)
-        recent = getattr(timeline, "recent_cluster_busy", None)
-        if recent is None:
-            return np.zeros(0, dtype=np.float64)
-        busy = recent(4 * self.spec.horizon_epochs)
+        timeline = self.fs.obs.timeline
+        busy = timeline.recent_cluster_busy(4 * self.spec.horizon_epochs)
         if busy.size == 0:
             return busy
         denom = max(float(timeline.window_ms), 1e-9) * max(self.liveness.n_active(), 1)

@@ -46,12 +46,7 @@ class Migrator:
                 fs.stale_decisions += 1
                 self._m_stale.inc()
                 continue
-            liveness = getattr(fs, "liveness", None)
-            if (
-                not fs.servers[d.dst].up
-                if liveness is None
-                else not liveness.can_receive(d.dst)
-            ):
+            if not fs.liveness.can_receive(d.dst):
                 # the destination crashed — or started draining out of an
                 # elastic pool — between planning and apply: the export
                 # cannot land, so authority stays where it is

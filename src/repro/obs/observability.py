@@ -185,12 +185,12 @@ class Observability:
                     reg.gauge(f"kvstore_{name}", f"LSM store {name}").labels(
                         mds=label
                     ).set(value)
-                if getattr(s, "recovery_ms_total", 0.0) > 0.0:
+                if s.recovery_ms_total > 0.0:
                     reg.gauge(
                         "mds_recovery_ms_total", "modeled recovery warm-up (ms)"
                     ).labels(mds=label).set(s.recovery_ms_total)
 
-        faults = getattr(fs, "faults", None)
+        faults = fs.faults
         if faults is not None:
             for name, value in faults.summary().items():
                 reg.gauge(f"faults_{name}", f"fault injection {name}").set(value)
@@ -205,7 +205,7 @@ class Observability:
                 faults.backoff_wait_ms, faults.retries,
             )
 
-        elastic = getattr(fs, "elastic", None)
+        elastic = fs.elastic
         if elastic is not None:
             for name, value in elastic.summary().items():
                 reg.gauge(f"elastic_{name}", f"elastic pool {name}").set(value)
