@@ -42,6 +42,29 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _checked(kind: type, ok, bound: str):
+    """An argparse ``type=`` converter: parse with ``kind``, then demand ``ok``.
+
+    An out-of-range value exits 2 with one ``argument --flag: must be ...``
+    error line, instead of a traceback from deep inside the run or a silent
+    run on an empty trace.
+    """
+
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse's "invalid int value" wording
+    return convert
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the choices come from the tables the commands run on, imported here
     # so that importing this module stays cheap
@@ -64,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
     run.add_argument("experiment", choices=tuple(EXPERIMENTS))
     run.add_argument("--scale", default=None, choices=tuple(SCALES))
-    run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--seed", type=_NON_NEGATIVE, default=42)
     run.add_argument("--json", dest="json_out", default=None, help="write report JSON here")
     run.add_argument(
         "--profile", action="store_true",
@@ -74,30 +97,30 @@ def build_parser() -> argparse.ArgumentParser:
     wl = sub.add_parser("workload", help="generate a trace and describe it")
     wl.set_defaults(func=_cmd_workload)
     wl.add_argument("kind", choices=tuple(WORKLOADS))
-    wl.add_argument("--ops", type=int, default=30_000)
-    wl.add_argument("--seed", type=int, default=0)
+    wl.add_argument("--ops", type=_COUNT, default=30_000)
+    wl.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     wl.add_argument("--save", default=None, help="save the trace bundle to this .npz path")
 
     tr = sub.add_parser("train", help="run the training pipeline for a workload family")
     tr.set_defaults(func=_cmd_train)
     tr.add_argument("kind", choices=("rw", "ro", "wi"))
-    tr.add_argument("--ops", type=int, default=40_000)
+    tr.add_argument("--ops", type=_COUNT, default=40_000)
     tr.add_argument("--rounds", type=int, default=120)
-    tr.add_argument("--seed", type=int, default=7)
+    tr.add_argument("--seed", type=_NON_NEGATIVE, default=7)
 
     si = sub.add_parser("simulate", help="one DES run of a strategy on a workload")
     si.set_defaults(func=_cmd_simulate)
     si.add_argument("strategy", choices=tuple(STRATEGY_FACTORIES))
     si.add_argument("kind", choices=tuple(WORKLOADS))
-    si.add_argument("--ops", type=int, default=60_000)
-    si.add_argument("--mds", type=int, default=5)
-    si.add_argument("--clients", type=int, default=300)
-    si.add_argument("--seed", type=int, default=42)
-    si.add_argument("--cache-depth", type=int, default=2)
+    si.add_argument("--ops", type=_COUNT, default=60_000)
+    si.add_argument("--mds", type=_COUNT, default=5)
+    si.add_argument("--clients", type=_COUNT, default=300)
+    si.add_argument("--seed", type=_NON_NEGATIVE, default=42)
+    si.add_argument("--cache-depth", type=_NON_NEGATIVE, default=2)
     si.add_argument("--scale", default=None, choices=tuple(SCALES),
                     help="scale profile (default: $REPRO_SCALE or 'default'); "
                          "sets epoch length and the namespace-size multiplier")
-    si.add_argument("--epoch-ms", type=float, default=None,
+    si.add_argument("--epoch-ms", type=_POSITIVE, default=None,
                     help="rebalance epoch length (default: the scale profile's)")
     si.add_argument("--profile", action="store_true",
                     help="run the DES under cProfile and print the top of the "
@@ -133,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--timeline", dest="timeline_out", default=None, metavar="PATH",
                     help="collect windowed per-MDS/cluster telemetry and write "
                          "the timeline as JSONL here (see `repro obs`)")
-    si.add_argument("--timeline-window-ms", dest="timeline_window_ms", type=float,
+    si.add_argument("--timeline-window-ms", dest="timeline_window_ms", type=_POSITIVE,
                     default=None, metavar="MS",
                     help="virtual-time window length (default: epoch_ms / 5)")
     si.add_argument("--slo", dest="slo_path", default=None, metavar="SPEC",
@@ -185,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("plan", help="offline Meta-OPT migration plan")
     pl.set_defaults(func=_cmd_plan)
     pl.add_argument("kind", choices=("rw", "ro", "wi"))
-    pl.add_argument("--ops", type=int, default=8_000)
-    pl.add_argument("--mds", type=int, default=5)
+    pl.add_argument("--ops", type=_COUNT, default=8_000)
+    pl.add_argument("--mds", type=_COUNT, default=5)
     pl.add_argument("--moves", type=int, default=12)
-    pl.add_argument("--seed", type=int, default=3)
+    pl.add_argument("--seed", type=_NON_NEGATIVE, default=3)
 
     be = sub.add_parser("bench", help="benchmark orchestration and regression gating")
     bsub = be.add_subparsers(dest="bench_command", required=True)

@@ -251,6 +251,42 @@ def test_simulate_timeline_slo_and_sampled_trace(tmp_path, capsys):
     assert "SLO BREACHED" in capsys.readouterr().out
 
 
+#: one out-of-range value per validated numeric flag: (argv, flag named in the error)
+OUT_OF_RANGE = [
+    (["simulate", "Lunule", "rw", "--ops", "500", "--mds", "0"], "--mds"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--clients", "0"], "--clients"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--epoch-ms", "0"], "--epoch-ms"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--epoch-ms", "nan"], "--epoch-ms"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--cache-depth", "-1"], "--cache-depth"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--timeline-window-ms", "0"],
+     "--timeline-window-ms"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--seed", "-1"], "--seed"),
+    (["simulate", "Lunule", "rw", "--ops", "-5"], "--ops"),
+    (["simulate", "Lunule", "rw", "--ops", "0"], "--ops"),
+    (["plan", "rw", "--ops", "500", "--mds", "0"], "--mds"),
+    (["plan", "rw", "--ops", "0"], "--ops"),
+    (["plan", "rw", "--ops", "500", "--seed", "-1"], "--seed"),
+    (["train", "rw", "--ops", "0"], "--ops"),
+    (["train", "rw", "--ops", "500", "--seed", "-1"], "--seed"),
+    (["workload", "rw", "--ops", "100", "--seed", "-1"], "--seed"),
+    (["workload", "rw", "--ops", "-3"], "--ops"),
+    (["run", "theorem1_gap", "--scale", "smoke", "--seed", "-1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", OUT_OF_RANGE, ids=[f"{a[0]}:{a[-2]}={a[-1]}" for a, _ in OUT_OF_RANGE]
+)
+def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # argparse's usage block, then the one error line
+    assert err.splitlines()[-1].startswith(f"repro {argv[0]}: error: argument {flag}: must be ")
+    assert "Traceback" not in err
+
+
 def test_simulate_rejects_bad_trace_sample_and_slo(tmp_path, capsys):
     assert main([
         "simulate", "Lunule", "rw", "--ops", "1000", "--trace-sample", "0",
