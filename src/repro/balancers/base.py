@@ -59,14 +59,11 @@ class EpochContext:
     #: show what was *considered*, not just what moved.  None in offline
     #: pipelines that construct contexts by hand.
     obs: Optional[object] = None
-    #: per-MDS liveness at the epoch boundary (degraded-mode input from the
-    #: fault injector); None means "no fault layer, everything is up"
-    mds_up: Optional[np.ndarray] = None
-    #: the run's :class:`~repro.fs.elastic.liveness.MDSLiveness` view, set
-    #: only when an elastic pool is active.  Unlike ``mds_up`` (a snapshot
-    #: taken when the context was built) this is read *live*, so a drain the
-    #: pool controller starts mid-epoch is visible to evacuation planning
-    #: within the same boundary.
+    #: the run's :class:`~repro.fs.elastic.liveness.MDSLiveness` view: crash
+    #: flags plus, with an elastic pool, warming/draining/gone members.  It
+    #: is read *live*, so a drain the pool controller starts mid-epoch is
+    #: visible to evacuation planning within the same boundary.  None (a
+    #: context built by hand) means every MDS is up.
     liveness: Optional[object] = None
 
     def note_candidates(self, roots, predicted) -> None:
@@ -76,25 +73,26 @@ class EpochContext:
         if audit is not None:
             audit.note_candidates(self.epoch, roots, predicted)
 
-    def live_mds(self) -> Optional[np.ndarray]:
-        """Indices of up MDSs, or None when the fault layer is absent/idle."""
-        if self.mds_up is None or bool(self.mds_up.all()):
+    def _mask(self, view: str) -> Optional[np.ndarray]:
+        """``liveness.<view>()``, or None when it holds for every MDS."""
+        if self.liveness is None:
             return None
-        return np.nonzero(np.asarray(self.mds_up, dtype=bool))[0]
+        mask = getattr(self.liveness, view)()
+        return None if bool(mask.all()) else mask
+
+    def live_mds(self) -> Optional[np.ndarray]:
+        """Indices of serving MDSs, or None when every MDS serves."""
+        mask = self._mask("serving_mask")
+        return None if mask is None else np.nonzero(mask)[0]
 
     def dst_mask(self) -> Optional[np.ndarray]:
         """Boolean mask of MDSs eligible as migration *destinations*.
 
-        Stricter than ``mds_up``: with an elastic pool, draining and gone
-        members are excluded even though a draining MDS still serves.
+        Stricter than :meth:`live_mds`: with an elastic pool, draining and
+        gone members are excluded even though a draining MDS still serves.
         None means "everyone is eligible" (the common healthy case).
         """
-        if self.liveness is not None:
-            mask = self.liveness.dst_mask()
-            return None if bool(mask.all()) else mask
-        if self.mds_up is None or bool(self.mds_up.all()):
-            return None
-        return np.asarray(self.mds_up, dtype=bool)
+        return self._mask("dst_mask")
 
     def dst_eligible(self) -> Optional[np.ndarray]:
         """Index form of :meth:`dst_mask` (None when everyone is eligible)."""
@@ -108,10 +106,7 @@ class EpochContext:
         business as before; only parked/departed capacity is excluded so an
         elastic pool's idle slots don't read as imbalance.
         """
-        if self.liveness is None:
-            return None
-        mask = self.liveness.active_mask()
-        return None if bool(mask.all()) else mask
+        return self._mask("active_mask")
 
 
 class BalancePolicy(abc.ABC):
@@ -161,27 +156,18 @@ class LunuleTrigger:
 def _evacuation_masks(ctx: EpochContext):
     """``(needs_evacuation per-MDS mask, destination index array)``.
 
-    With an elastic pool the masks come from the *live* liveness view:
-    evacuate what cannot keep authority (crashed, gone, or draining) onto
-    what may receive it (up and not leaving).  Without one, this reduces to
-    the historical fault-only behaviour — evacuate ``~mds_up`` onto
-    ``mds_up``.  Returns ``(None, None)`` when nothing needs evacuating or
-    nowhere can receive.
+    The masks come from the *live* liveness view: evacuate what cannot keep
+    authority (crashed, gone, or draining) onto what may receive it (up and
+    not leaving).  With no elastic pool this is evacuating the crashed MDSs
+    onto the up ones.  Returns ``(None, None)`` when nothing needs
+    evacuating or nowhere can receive.
     """
     lv = ctx.liveness
-    if lv is not None:
-        serving = lv.serving_mask()
-        evac = ~serving | lv.draining_mask()
-        if not evac.any():
-            return None, None
-        dst = np.nonzero(lv.dst_mask())[0]
-    else:
-        if ctx.mds_up is None or bool(ctx.mds_up.all()):
-            return None, None
-        up = np.asarray(ctx.mds_up, dtype=bool)
-        evac = ~up
-        dst = np.nonzero(up)[0]
-    if dst.size == 0:
+    if lv is None:
+        return None, None
+    evac = ~lv.serving_mask() | lv.draining_mask()
+    dst = np.nonzero(lv.dst_mask())[0]
+    if not evac.any() or dst.size == 0:
         return None, None
     return evac, dst
 
@@ -190,7 +176,7 @@ def plan_evacuations(ctx: EpochContext) -> List[MigrationDecision]:
     """Evacuate subtrees owned by departed/departing MDSs onto eligible ones.
 
     Degraded-mode first aid, shared by every subtree policy: when
-    ``ctx.mds_up`` marks MDSs down — or an elastic pool marks members
+    ``ctx.liveness`` marks MDSs crashed — or an elastic pool's members
     draining or gone — their metadata authority must move or clients will
     burn their whole retry budget against a corpse.  Maximal single-owner
     subtrees rooted in evacuating territory become ordinary

@@ -17,27 +17,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.bench.scenario import DATAPATH, BenchScenario, BenchVariant
 
-__all__ = ["run_variant", "extract_metrics", "HEADLINE_METRICS"]
-
-#: the flat per-run metrics every artifact carries (beyond obs counters)
-HEADLINE_METRICS = (
-    "ops_completed",
-    "duration_ms",
-    "throughput_ops_per_sec",
-    "steady_state_throughput",
-    "mean_latency_ms",
-    "p50_latency_ms",
-    "p99_latency_ms",
-    "rpcs_per_request",
-    "migrations",
-    "inodes_migrated",
-    "cache_hit_rate",
-    "failed_ops",
-    "imbalance_qps",
-    "imbalance_busytime",
-    "engine_events",
-    "engine_events_per_virtual_sec",
-)
+__all__ = ["run_variant", "extract_metrics"]
 
 
 def run_variant(

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(func=_cmd_train)
     tr.add_argument("kind", choices=("rw", "ro", "wi"))
     tr.add_argument("--ops", type=_COUNT, default=40_000)
-    tr.add_argument("--rounds", type=int, default=120)
+    tr.add_argument("--rounds", type=_COUNT, default=120)
     tr.add_argument("--seed", type=_NON_NEGATIVE, default=7)
 
     si = sub.add_parser("simulate", help="one DES run of a strategy on a workload")
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON fault schedule (crashes, slowdowns, drops, partitions)")
     si.add_argument("--trace", dest="trace_out", default=None, metavar="PATH",
                     help="write request spans as JSONL here")
-    si.add_argument("--trace-sample", dest="trace_sample", type=int, default=1,
+    si.add_argument("--trace-sample", dest="trace_sample", type=_COUNT, default=1,
                     metavar="N",
                     help="keep every Nth span (deterministic by span ordinal; "
                          "headline metrics stay bit-identical)")
@@ -178,14 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ot = osub.add_parser("timeline", help="per-window table of a timeline file")
     ot.add_argument("timeline", help="JSONL written by `simulate --timeline`")
-    ot.add_argument("--limit", type=int, default=0, metavar="N",
+    ot.add_argument("--limit", type=_NON_NEGATIVE, default=0, metavar="N",
                     help="show only the last N windows (default: all)")
 
     oh = osub.add_parser("heatmap", help="ASCII per-MDS load heatmap")
     oh.add_argument("timeline", help="JSONL written by `simulate --timeline`")
     oh.add_argument("--metric", default="ops", choices=tuple(HEATMAP_METRICS),
                     help="per-MDS series to shade (default: ops)")
-    oh.add_argument("--width", type=int, default=72, metavar="COLS",
+    oh.add_argument("--width", type=_COUNT, default=72, metavar="COLS",
                     help="max heatmap columns; wider timelines are max-pooled")
 
     os_ = osub.add_parser("slo", help="evaluate an SLO spec; exit 1 on breach")
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("kind", choices=("rw", "ro", "wi"))
     pl.add_argument("--ops", type=_COUNT, default=8_000)
     pl.add_argument("--mds", type=_COUNT, default=5)
-    pl.add_argument("--moves", type=int, default=12)
+    pl.add_argument("--moves", type=_NON_NEGATIVE, default=12)
     pl.add_argument("--seed", type=_NON_NEGATIVE, default=3)
 
     be = sub.add_parser("bench", help="benchmark orchestration and regression gating")
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     br.set_defaults(func=_cmd_bench_run)
     br.add_argument("--scenario", action="append", default=None, metavar="NAME",
                     help="scenario to run (repeatable; default: all registered)")
-    br.add_argument("--workers", type=int, default=1,
+    br.add_argument("--workers", type=_COUNT, default=1,
                     help="process-pool size (1 = inline; output is identical either way)")
     br.add_argument("--scale", default=None, choices=tuple(SCALES),
                     help="scale tier override (default: each scenario's own tier)")
@@ -326,7 +326,12 @@ def _cmd_train(args) -> int:
     print(f"collecting labels from {len(trace):,} ops ...")
     dataset = training_set(built, trace, ops_per_epoch=4000)
     print(f"samples: {dataset.n_samples:,}")
-    reports = train_models(dataset, gbdt_rounds=args.rounds)
+    try:
+        reports = train_models(dataset, gbdt_rounds=args.rounds)
+    except ValueError as exc:  # too few labelled samples to hold some out
+        print(f"repro train: {exc}: {dataset.n_samples:,} samples from "
+              f"{len(trace):,} ops; raise --ops", file=sys.stderr)
+        return 2
     print(f"\n{'model':16s} {'RMSE':>8s} {'R2':>8s} {'Spearman':>9s} {'top-10%':>8s}")
     for m in reports.values():
         print(f"{m.name:16s} {m.rmse:8.3f} {m.r2:8.3f} {m.spearman:9.3f} {m.top_decile_overlap:8.3f}")
@@ -373,10 +378,6 @@ def _cmd_simulate(args) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"repro simulate: bad autoscale spec: {exc}", file=sys.stderr)
             return 2
-    if args.trace_sample < 1:
-        print(f"repro simulate: --trace-sample must be >= 1, got {args.trace_sample}",
-              file=sys.stderr)
-        return 2
     slo_spec = None
     if args.slo_path:
         from repro.obs.slo import SloError, SloSpec

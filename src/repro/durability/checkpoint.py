@@ -1,21 +1,23 @@
 """Simulation checkpointing: snapshot a quiescent run, warm-restart it later.
 
-A :class:`SimCheckpoint` captures everything needed to continue replaying a
-trace from where a previous segment stopped:
+A :class:`SimCheckpoint` frames the state each component of a run hands
+out itself, enough to continue replaying a trace from where a previous
+segment stopped:
 
-* the **namespace tree** (exact internal arrays, so restored ino numbering
-  is identical to the captured run — replay-order reconstruction would not
-  guarantee that);
+* the **namespace tree** as its five per-ino columns
+  (:meth:`~repro.namespace.tree.NamespaceTree.columns`), rebuilt by
+  :meth:`~repro.namespace.tree.NamespaceTree.from_columns` with the
+  captured ino numbering (replay-order reconstruction would not guarantee
+  it) — the one rebuild workload bundles use too;
 * the **partition map** (dense owner array, restored via ``assign_bulk``);
-* every **RNG stream** the run has touched (``bit_generator.state`` of each
-  stream in the run's :class:`~repro.sim.rng.SeedSequenceFactory` cache,
-  plus the latency recorder's reservoir RNG and the fault injector's
-  drop/backoff streams), so a resumed run draws the same random sequence an
-  uninterrupted run would;
+* every **RNG stream** the run has handed out
+  (``OrigamiFS.rng_streams.state()``, the fault injector's drop/backoff
+  streams among them) and the latency recorder's reservoir RNG, so a
+  resumed run draws the same random sequence an uninterrupted run would;
 * the **virtual clock** (restored with :meth:`Environment.warp` onto the
   empty calendar of a freshly built cluster) and the run counters
-  (cursor, completed/failed ops, RPCs, per-epoch metrics, latency
-  reservoir, cache counters).
+  (cursor, completed/failed ops, RPCs, per-epoch metrics, the latency
+  recorder's and the client cache's own ``state()``).
 
 Per-MDS store contents come back one of two ways:
 
@@ -29,13 +31,18 @@ Per-MDS store contents come back one of two ways:
 
 What a checkpoint deliberately does **not** carry (documented per-segment
 state): balancer access statistics (the Data Collector re-learns within an
-epoch), MDS busy/queue counters, fault injector totals, and migration log
-entries.  Those are observability aggregates, not simulation state — a
-resumed run remains a valid continuation, it just reports them per segment.
+epoch), the balancer policy's own state, MDS busy/queue counters, fault
+injector totals, and migration log entries.  A resumed run remains a valid
+continuation; it reports those per segment.
 
 Capture requires a *quiescent point*: the DES calendar must be empty, which
 is exactly the state :meth:`OrigamiFS.run` leaves behind.  Capturing a live
 cluster mid-event raises :class:`CheckpointError`.
+
+Checkpoints written before the five-column layout carry the tree's
+internal arrays and counters (seven more keys, all derived, so ignored) and
+the fault streams in a ``fault_rng`` block, which :meth:`SimCheckpoint.from_dict`
+folds into ``rng_streams``.
 """
 
 from __future__ import annotations
@@ -43,12 +50,13 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.durability.errors import CheckpointError
+from repro.namespace.tree import NamespaceTree
 
 __all__ = ["SimCheckpoint", "Checkpointer", "CHECKPOINT_SCHEMA_VERSION"]
 
@@ -72,72 +80,6 @@ def _canonical(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-# --------------------------------------------------------------------- tree
-def _tree_state(tree) -> Dict[str, Any]:
-    """Exact snapshot of a NamespaceTree's internal arrays.
-
-    The numpy columns are sliced to the logical extent and converted to
-    plain Python scalars so the JSON payload is portable.
-    """
-    n = tree.capacity
-    return {
-        "parent": tree._parent[:n].tolist(),
-        "name": list(tree._name),
-        "ftype": tree._ftype[:n].tolist(),
-        "depth": tree._depth[:n].tolist(),
-        "alive": tree._alive[:n].tolist(),
-        "size": tree._size[:n].tolist(),
-        "children": [
-            None if kids is None else dict(kids) for kids in tree._children
-        ],
-        "n_child_files": tree._n_child_files[:n].tolist(),
-        "n_child_dirs": tree._n_child_dirs[:n].tolist(),
-        "num_dirs": tree._num_dirs,
-        "num_files": tree._num_files,
-        "version": tree.version,
-    }
-
-
-def _rebuild_tree(state: Dict[str, Any]):
-    """Reconstruct a NamespaceTree with identical ino numbering."""
-    import numpy as np
-
-    from repro.namespace.tree import NamespaceTree
-
-    tree = NamespaceTree()
-    try:
-        n = len(state["parent"])
-        tree._parent = np.asarray([int(p) for p in state["parent"]], dtype=np.int64)
-        tree._name = [str(x) for x in state["name"]]
-        tree._ftype = np.asarray([int(t) for t in state["ftype"]], dtype=np.int8)
-        tree._depth = np.asarray([int(d) for d in state["depth"]], dtype=np.int64)
-        tree._alive = np.asarray([bool(a) for a in state["alive"]], dtype=bool)
-        tree._size = np.asarray([int(s) for s in state["size"]], dtype=np.int64)
-        tree._children = [
-            None if kids is None else {str(k): int(v) for k, v in kids.items()}
-            for kids in state["children"]
-        ]
-        tree._n_child_files = np.asarray(
-            [int(c) for c in state["n_child_files"]], dtype=np.int64
-        )
-        tree._n_child_dirs = np.asarray(
-            [int(c) for c in state["n_child_dirs"]], dtype=np.int64
-        )
-        tree._n = n
-        tree._cap = n
-        tree._num_dirs = int(state["num_dirs"])
-        tree._num_files = int(state["num_files"])
-        tree.version = int(state["version"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(f"malformed tree state: {exc}") from None
-    tree._dfs_cache = None
-    try:
-        tree.validate()
-    except AssertionError as exc:
-        raise CheckpointError(f"restored tree failed validation: {exc}") from None
-    return tree
-
-
 # --------------------------------------------------------------- checkpoint
 @dataclass
 class SimCheckpoint:
@@ -156,36 +98,22 @@ class SimCheckpoint:
     owners: List[int]
     tree: Dict[str, Any]
     rng_streams: Dict[str, Any]
-    fault_rng: Dict[str, Any]
     latency: Dict[str, Any]
     cache: Dict[str, Any]
     epochs: List[Dict[str, Any]] = field(default_factory=list)
 
     # ------------------------------------------------------- serialisation
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "n_mds": self.n_mds,
-            "use_kvstore": self.use_kvstore,
-            "durable": self.durable,
-            "data_dir": self.data_dir,
-            "now_ms": self.now_ms,
-            "cursor": self.cursor,
-            "counters": self.counters,
-            "created_files": self.created_files,
-            "owners": self.owners,
-            "tree": self.tree,
-            "rng_streams": self.rng_streams,
-            "fault_rng": self.fault_rng,
-            "latency": self.latency,
-            "cache": self.cache,
-            "epochs": self.epochs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SimCheckpoint":
         try:
+            rng_streams = dict(payload["rng_streams"])
+            # the layout in which the fault injector kept its streams apart
+            rng_streams.update(
+                (f"fault-{key}", state) for key, state in payload.get("fault_rng", {}).items()
+            )
             return cls(
                 strategy=str(payload["strategy"]),
                 seed=int(payload["seed"]),
@@ -199,13 +127,12 @@ class SimCheckpoint:
                 created_files=[int(i) for i in payload["created_files"]],
                 owners=[int(o) for o in payload["owners"]],
                 tree=payload["tree"],
-                rng_streams=dict(payload["rng_streams"]),
-                fault_rng=dict(payload["fault_rng"]),
+                rng_streams=rng_streams,
                 latency=dict(payload["latency"]),
                 cache=dict(payload["cache"]),
                 epochs=list(payload["epochs"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(f"malformed checkpoint payload: {exc}") from None
 
     def save(self, path: str) -> None:
@@ -247,8 +174,9 @@ class SimCheckpoint:
 
     # ---------------------------------------------- hooks used by OrigamiFS
     # These run inside OrigamiFS.__init__ via the ``restore_from`` kwarg so
-    # ordering constraints (owners before store population, clock warp
-    # before the fault injector schedules its timeline) hold by construction.
+    # ordering constraints (owners before store population, streams and
+    # clock before the fault injector takes its streams and schedules its
+    # timeline) hold by construction.
     def apply_partition(self, fs) -> None:
         """Overwrite the freshly built partition map with the captured one."""
         owners = np.asarray(self.owners, dtype=np.int64)
@@ -268,69 +196,31 @@ class SimCheckpoint:
             if name in self.counters:
                 setattr(fs, name, self.counters[name])
         fs.created_files = list(self.created_files)
-        fs.epochs = [
-            EpochMetrics(
-                epoch=int(e["epoch"]),
-                duration_ms=float(e["duration_ms"]),
-                busy_ms=np.asarray(e["busy_ms"], dtype=np.float64),
-                qps=np.asarray(e["qps"], dtype=np.float64),
-                rpcs=np.asarray(e["rpcs"], dtype=np.float64),
-                inodes=np.asarray(e["inodes"], dtype=np.float64),
-                migrations=int(e.get("migrations", 0)),
-            )
-            for e in self.epochs
-        ]
-
-        for name, state in self.rng_streams.items():
+        try:
+            fs.epochs = [
+                EpochMetrics(
+                    epoch=int(e["epoch"]),
+                    duration_ms=float(e["duration_ms"]),
+                    busy_ms=np.asarray(e["busy_ms"], dtype=np.float64),
+                    qps=np.asarray(e["qps"], dtype=np.float64),
+                    rpcs=np.asarray(e["rpcs"], dtype=np.float64),
+                    inodes=np.asarray(e["inodes"], dtype=np.float64),
+                    migrations=int(e.get("migrations", 0)),
+                )
+                for e in self.epochs
+            ]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CheckpointError(f"malformed epoch metrics: {exc}") from None
+        for what, component, state in (
+            ("RNG streams", fs.rng_streams, self.rng_streams),
+            ("latency recorder", fs.latency, self.latency),
+            ("client cache", fs.cache, self.cache),
+        ):
             try:
-                fs._ssf.stream(name).generator.bit_generator.state = state
-            except (TypeError, ValueError, KeyError) as exc:
-                raise CheckpointError(
-                    f"cannot restore RNG stream {name!r}: {exc}"
-                ) from None
-
-        lat = self.latency
-        rec = fs.latency
-        try:
-            samples = np.asarray(lat["reservoir"], dtype=np.float64)
-            n = min(samples.shape[0], rec._cap)
-            rec._res[:n] = samples[:n]
-            rec.count = int(lat["count"])
-            rec.total = float(lat["total"])
-            rec._rng.bit_generator.state = lat["rng"]
-            # absent in pre-block checkpoints: block draws are element-wise
-            # identical to scalar draws, so resuming with an empty queue from
-            # a scalar-era RNG state reproduces the same slot sequence
-            rec._slots = [int(s) for s in lat.get("pending_slots", [])]
-            rec._slot_i = 0
-        except (TypeError, ValueError, KeyError) as exc:
-            raise CheckpointError(f"cannot restore latency recorder: {exc}") from None
-
-        cache = fs.cache
-        cache.hits = int(self.cache.get("hits", 0))
-        cache.misses = int(self.cache.get("misses", 0))
-        if hasattr(cache, "invalid_until"):
-            cache.invalid_until = float(self.cache.get("invalid_until", 0.0))
-        if hasattr(cache, "_expiry"):
-            cache._expiry = {
-                int(k): float(v) for k, v in self.cache.get("expiry", {}).items()
-            }
-            cache.grants = int(self.cache.get("grants", 0))
-            cache.recalls = int(self.cache.get("recalls", 0))
-
+                component.restore(state)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise CheckpointError(f"cannot restore the {what}: {exc}") from None
         fs.env.warp(self.now_ms)
-
-    def apply_fault_rng(self, fs) -> None:
-        """Restore the injector's private streams (runs after it is built)."""
-        if fs.faults is None or not self.fault_rng:
-            return
-        try:
-            if "drop" in self.fault_rng:
-                fs.faults._drop_rng.generator.bit_generator.state = self.fault_rng["drop"]
-            if "retry" in self.fault_rng:
-                fs.faults._retry_rng.generator.bit_generator.state = self.fault_rng["retry"]
-        except (TypeError, ValueError, KeyError) as exc:
-            raise CheckpointError(f"cannot restore fault RNG streams: {exc}") from None
 
 
 # -------------------------------------------------------------- checkpointer
@@ -369,34 +259,6 @@ class Checkpointer:
                 if backend is not None and not backend.closed:
                     s.store.sync()
 
-        rec = fs.latency
-        latency = {
-            "count": rec.count,
-            "total": rec.total,
-            "reservoir": rec._res[: min(rec.count, rec._cap)].tolist(),
-            "rng": rec._rng.bit_generator.state,
-            # the recorder pre-draws replacement slots in blocks, so the RNG
-            # stream runs ahead of consumption; the unconsumed tail must ride
-            # along or a restored run would skip those draws
-            "pending_slots": [int(s) for s in rec._slots[rec._slot_i :]],
-        }
-        cache_state: Dict[str, Any] = {
-            "hits": fs.cache.hits,
-            "misses": fs.cache.misses,
-        }
-        if hasattr(fs.cache, "invalid_until"):
-            cache_state["invalid_until"] = fs.cache.invalid_until
-        if hasattr(fs.cache, "_expiry"):
-            cache_state["expiry"] = {str(k): v for k, v in fs.cache._expiry.items()}
-            cache_state["grants"] = fs.cache.grants
-            cache_state["recalls"] = fs.cache.recalls
-        fault_rng: Dict[str, Any] = {}
-        if fs.faults is not None:
-            fault_rng = {
-                "drop": fs.faults._drop_rng.generator.bit_generator.state,
-                "retry": fs.faults._retry_rng.generator.bit_generator.state,
-            }
-
         return SimCheckpoint(
             strategy=fs.policy.name,
             seed=fs.config.seed,
@@ -409,14 +271,10 @@ class Checkpointer:
             counters={name: getattr(fs, name) for name in _COUNTER_FIELDS},
             created_files=list(fs.created_files),
             owners=[int(o) for o in fs.pmap.owner_array()],
-            tree=_tree_state(fs.tree),
-            rng_streams={
-                name: stream.generator.bit_generator.state
-                for name, stream in fs._ssf._cache.items()
-            },
-            fault_rng=fault_rng,
-            latency=latency,
-            cache=cache_state,
+            tree=fs.tree.columns(),
+            rng_streams=fs.rng_streams.state(),
+            latency=fs.latency.state(),
+            cache=fs.cache.state(),
             epochs=[e.to_dict() for e in fs.epochs],
         )
 
@@ -459,5 +317,12 @@ class Checkpointer:
                 f"trace has {len(trace)} ops but the checkpoint already "
                 f"replayed {checkpoint.cursor}: pass the full original trace"
             )
-        tree = _rebuild_tree(checkpoint.tree)
+        columns = checkpoint.tree
+        try:
+            tree = NamespaceTree.from_columns(
+                columns["parent"], columns["name"], columns["ftype"],
+                columns["alive"], columns["size"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed tree state: {exc}") from None
         return OrigamiFS(tree, trace, policy, config, restore_from=checkpoint)

@@ -83,6 +83,16 @@ class NearRootCache:
             "hit_rate": self.hit_rate,
         }
 
+    def state(self) -> Dict[str, float]:
+        """Counters and the crash-invalidation horizon, JSON-ready."""
+        return {"hits": self.hits, "misses": self.misses, "invalid_until": self.invalid_until}
+
+    def restore(self, state: Dict[str, float]) -> None:
+        """Continue from a :meth:`state` snapshot."""
+        self.hits = int(state.get("hits", 0))
+        self.misses = int(state.get("misses", 0))
+        self.invalid_until = float(state.get("invalid_until", 0.0))
+
 
 class LeaseCache:
     """Full metadata cache under TTL leases (the design the paper avoids).
@@ -163,3 +173,21 @@ class LeaseCache:
             "lease_grants_total": float(self.grants),
             "lease_recalls_total": float(self.recalls),
         }
+
+    def state(self) -> Dict:
+        """Counters and every lease's expiry, JSON-ready."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "expiry": {str(ino): exp for ino, exp in self._expiry.items()},
+            "grants": self.grants,
+            "recalls": self.recalls,
+        }
+
+    def restore(self, state: Dict) -> None:
+        """Continue from a :meth:`state` snapshot."""
+        self.hits = int(state.get("hits", 0))
+        self.misses = int(state.get("misses", 0))
+        self._expiry = {int(k): float(v) for k, v in state.get("expiry", {}).items()}
+        self.grants = int(state.get("grants", 0))
+        self.recalls = int(state.get("recalls", 0))

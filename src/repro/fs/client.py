@@ -31,8 +31,8 @@ for speed at a hundred thousand clients:
 
 Everything else is a branch on a value fixed for the run (see
 :func:`run_state`): span tracing, fault gates with retry/backoff/failover,
-crash and warm-up checks on each hold, lease recalls, RTT jitter, kvstore
-reads, durability drains and the data path.
+crash and warm-up checks on each hold, lease recalls, kvstore reads,
+durability drains and the data path.
 
 When tracing is enabled each operation carries a
 :class:`~repro.obs.tracing.Span` decomposing its latency into queue wait,

@@ -71,7 +71,6 @@ class EpochDriver:
         env = fs.env
         audit = fs.obs.audit
         elastic = fs.elastic
-        liveness = fs.liveness if elastic is not None else None
         # live, not published at the end: its twin fs.epochs is
         # checkpointed, while the registry counts one run segment
         m_epochs = fs.obs.registry.counter("epochs_total", "epoch boundaries crossed")
@@ -93,13 +92,7 @@ class EpochDriver:
                 oracle_window=fs.upcoming(self.oracle_window_ops),
                 completed_window=completed,
                 obs=fs.obs,
-                # healthy fixed pools pass None: every member serves
-                mds_up=(
-                    fs.liveness.serving_mask()
-                    if fs.faults is not None or elastic is not None
-                    else None
-                ),
-                liveness=liveness,
+                liveness=fs.liveness,
             )
             decisions = self.policy.rebalance(ctx)
             if decisions:

@@ -11,11 +11,10 @@ member at all).  :class:`MDSLiveness` folds both signals into one view:
 * voluntary state (warming / draining / gone) lives in this class's state
   array — the elastic pool controller drives it.
 
-Every :class:`~repro.fs.filesystem.OrigamiFS` owns one, and it is the only
-source of ``EpochContext.mds_up``: the epoch driver passes
-:meth:`serving_mask` when a fault injector or an elastic pool is attached,
-and None on a healthy fixed pool.  With no elastic pool every member is
-``UP`` and the mask is exactly the servers' crash flags.
+Every :class:`~repro.fs.filesystem.OrigamiFS` owns one, and it is the
+balancer's one membership view: the epoch driver passes it as
+``EpochContext.liveness`` at every epoch boundary.  With no elastic pool
+every member is ``UP`` and each mask is exactly the servers' crash flags.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class MDSLiveness:
         """Members currently able to serve requests: not crashed, not gone.
 
         Warming and draining MDSs serve (slowly / while evacuating); this is
-        the mask ``EpochContext.mds_up`` carries.
+        the mask ``EpochContext.live_mds`` reads.
         """
         return self.up_array() & (self._state != GONE)
 

@@ -16,8 +16,9 @@ The injector owns three things:
   ends, so a traced faulty run fully explains its latency.
 
 Determinism: the injector draws randomness only from two dedicated streams
-("fault-drop" for drop coin flips, "fault-retry" for backoff jitter) derived
-from the run seed, and only *when a matching fault window is active* — a run
+of the run's own factory, ``fs.rng_streams`` ("fault-drop" for drop coin
+flips, "fault-retry" for backoff jitter, so a checkpoint carries them with
+every other stream), and only *when a matching fault window is active* — a run
 with an empty schedule is bit-identical to a run with no schedule at all
 (asserted by tests/test_fs_parity.py).
 """
@@ -33,7 +34,6 @@ from repro.fs.faults.errors import (
     RpcTimeoutError,
 )
 from repro.fs.faults.schedule import FaultSchedule, RetryPolicy
-from repro.sim import SeedSequenceFactory
 
 __all__ = ["FaultInjector"]
 
@@ -48,9 +48,8 @@ class FaultInjector:
         self.fs = fs
         self.schedule = schedule
         self.retry: RetryPolicy = schedule.retry
-        ssf = SeedSequenceFactory(fs.config.seed)
-        self._drop_rng = ssf.stream("fault-drop")
-        self._retry_rng = ssf.stream("fault-retry")
+        self._drop_rng = fs.rng_streams.stream("fault-drop")
+        self._retry_rng = fs.rng_streams.stream("fault-retry")
 
         #: durable runs derive restart warm-up from recovery work instead of
         #: the schedule's fixed warmup_ms constant

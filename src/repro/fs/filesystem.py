@@ -76,8 +76,6 @@ class SimConfig:
     #: setting it turns on use_kvstore and the durability cost model, and
     #: makes crash/restart pay real recovery work instead of fixed warm-up
     data_dir: Optional[str] = None
-    #: durability latency prices; defaulted when data_dir is set
-    durability: Optional[DurabilityCostModel] = None
     #: elastic-pool spec (repro.fs.elastic.AutoscaleSpec); None (the
     #: default) keeps the historical fixed pool, bit-identically.  When set,
     #: ``n_mds`` is the *initial* pool size and the cluster is provisioned
@@ -93,12 +91,8 @@ class SimConfig:
             raise ValueError("epoch_ms must be positive")
         if self.cache_mode not in ("near-root", "lease", "none"):
             raise ValueError(f"unknown cache_mode {self.cache_mode!r}")
-        if self.durability is not None and self.data_dir is None:
-            raise ValueError("durability cost model requires data_dir")
         if self.data_dir is not None:
             self.use_kvstore = True
-            if self.durability is None:
-                self.durability = DurabilityCostModel()
 
 
 class OrigamiFS:
@@ -118,17 +112,18 @@ class OrigamiFS:
         #: SimCheckpoint being warm-restarted (None for a fresh run).  Built
         #: via Checkpointer.restore(); the hooks run at fixed points below so
         #: ordering holds: owners land before store population, the clock
-        #: warps onto the still-empty calendar before the fault injector
-        #: schedules its timeline.
+        #: warps onto the still-empty calendar and the streams are restored
+        #: before the fault injector takes its own and schedules its timeline.
         self.config = config or SimConfig()
         self.tree = tree
         self.trace = trace
         self.policy = policy
         self.params = self.config.params
         self.env = Environment()
-        ssf = SeedSequenceFactory(self.config.seed)
-        self._ssf = ssf  # retained so the Checkpointer can snapshot streams
-        self.rng = ssf.stream("fs")
+        #: the run's named RNG streams; every component that draws takes its
+        #: stream from here, so one snapshot covers them all (checkpoints)
+        self.rng_streams = SeedSequenceFactory(self.config.seed)
+        self.rng = self.rng_streams.stream("fs")
 
         self.obs = self.config.obs if self.config.obs is not None else NULL_OBS
         #: live per-op latency histogram (a no-op singleton when metrics
@@ -144,7 +139,7 @@ class OrigamiFS:
         self.pool_capacity = (
             self.config.n_mds if autoscale is None else autoscale.max_mds
         )
-        self.pmap = policy.setup(tree, self.pool_capacity, ssf.stream("policy"))
+        self.pmap = policy.setup(tree, self.pool_capacity, self.rng_streams.stream("policy"))
         if restore_from is not None:
             restore_from.apply_partition(self)
         if autoscale is not None:
@@ -160,7 +155,10 @@ class OrigamiFS:
                     "directories across the whole pool and cannot drain"
                 )
         self.use_kvstore = self.config.use_kvstore
-        self.durability = self.config.durability
+        #: durability latency prices, charged when the stores are durable
+        self.durability = (
+            DurabilityCostModel() if self.config.data_dir is not None else None
+        )
         self.servers = [
             MdsServer(
                 self.env,
@@ -251,15 +249,14 @@ class OrigamiFS:
 
         if restore_from is not None:
             # counters, RNG streams, latency/cache state, and the clock warp —
-            # before the injector below puts its timeline on the calendar
+            # before the injector below takes its streams and puts its
+            # timeline on the calendar
             restore_from.apply_runtime(self)
 
         #: fault injector (installed last: it touches servers and cache)
         self.faults: Optional[FaultInjector] = None
         if self.config.faults is not None:
             FaultInjector(self, self.config.faults)  # sets self.faults
-        if restore_from is not None:
-            restore_from.apply_fault_rng(self)
 
         #: elastic pool controller (None = historical fixed pool)
         self.elastic: Optional[MDSPoolController] = None

@@ -88,6 +88,33 @@ class LatencyRecorder:
         self.count = count + 1
         self.total += latency_ms
 
+    def state(self) -> Dict:
+        """Count, total, reservoir and RNG position, JSON-ready."""
+        return {
+            "count": self.count,
+            "total": self.total,
+            "reservoir": self._res[: min(self.count, self._cap)].tolist(),
+            "rng": self._rng.bit_generator.state,
+            # slots are pre-drawn in blocks, so the RNG runs ahead of
+            # consumption: without the unconsumed tail a restored recorder
+            # would skip those draws
+            "pending_slots": self._slots[self._slot_i :],
+        }
+
+    def restore(self, state: Dict) -> None:
+        """Continue from a :meth:`state` snapshot."""
+        samples = np.asarray(state["reservoir"], dtype=np.float64)
+        n = min(samples.shape[0], self._cap)
+        self._res[:n] = samples[:n]
+        self.count = int(state["count"])
+        self.total = float(state["total"])
+        self._rng.bit_generator.state = state["rng"]
+        # absent from snapshots taken before slots were drawn in blocks: a
+        # block draw is element-wise the scalar draws, so an empty queue
+        # continues the same slot sequence
+        self._slots = [int(s) for s in state.get("pending_slots", [])]
+        self._slot_i = 0
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

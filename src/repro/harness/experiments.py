@@ -530,9 +530,7 @@ def fig9_realworld(scale: Optional[ExperimentScale] = None, seed: int = 42) -> R
         e2e: Dict[str, float] = {}
         for name in FIGURE_STRATEGIES:
             meta[name] = runs[name].steady_state_throughput(0.4)
-            rd = runs[f"{name}+data"]
-            dur_s = rd.duration_ms / 1000.0
-            e2e[name] = rd.data_ops_completed / dur_s if dur_s > 0 else 0.0
+            e2e[name] = runs[f"{name}+data"].end_to_end_throughput
         second_best = max(v for k, v in meta.items() if k != "Origami")
         gain = meta["Origami"] / second_best
         meta_rows.append(

@@ -202,7 +202,7 @@ class NamespaceTree:
     def _grow(self, need: int) -> None:
         """Double the physical capacity of every per-ino column until ``need``
         inos fit (one reallocation, the size repeated doubling reaches)."""
-        new_cap = max(self._cap, 1) * 2  # a restored tree's capacity is its length, maybe 0
+        new_cap = self._cap * 2
         while new_cap < need:
             new_cap *= 2
         for attr in (
@@ -378,6 +378,60 @@ class NamespaceTree:
                 return FileExistsError(f"ino {p} already has an entry {name!r}")
             siblings.add(name)
         raise AssertionError("create_many rejected a valid batch")
+
+    def columns(self) -> Dict[str, list]:
+        """The tree as five per-ino columns over ``[0, capacity)``, plain lists:
+        ``parent``, ``name``, ``ftype``, ``alive`` and ``size``.
+
+        :meth:`from_columns` rebuilds the tree from them; child maps, depths,
+        counters and ``version`` are derived.
+        """
+        n = self._n
+        return {
+            "parent": self._parent[:n].tolist(),
+            "name": list(self._name),
+            "ftype": self._ftype[:n].tolist(),
+            "alive": self._alive[:n].tolist(),
+            "size": self._size[:n].tolist(),
+        }
+
+    @classmethod
+    def from_columns(cls, parent, names, ftype, alive, size) -> "NamespaceTree":
+        """Rebuild a tree from :meth:`columns` with the same ino numbering.
+
+        Every ino is created in order with one :meth:`create_many` call, so
+        a parent must precede its children (true of any tree built without
+        :meth:`rename`); dead inos are then removed, deepest first, and get
+        their names back.  Columns that describe no such tree raise
+        ``ValueError``.
+        """
+        parent = np.asarray(parent, dtype=np.int64)
+        ftype = np.asarray(ftype, dtype=np.int8)
+        alive = np.asarray(alive, dtype=bool)
+        size = np.asarray(size, dtype=np.int64)
+        names = list(names)
+        n = len(names)
+        if not parent.shape == ftype.shape == alive.shape == size.shape == (n,):
+            raise ValueError("tree columns must be 1-D and of equal length")
+        if not n or parent[0] != ROOT_INO or ftype[0] != _DIR or not alive[0] or names[0]:
+            raise ValueError("ino 0 must be the live root directory")
+        if not np.isin(ftype, (_DIR, _REGULAR)).all():
+            raise ValueError("tree columns hold an unknown file type")
+        dead = (np.flatnonzero(~alive[1:]) + 1).tolist()
+        entry_names = names[1:]
+        for ino in dead:
+            # a removed entry's name may have been reused by a live sibling
+            entry_names[ino - 1] = f"__dead_{ino}"
+        tree = cls()
+        try:
+            tree.create_many(parent[1:], entry_names, ftype[1:] == _DIR, size[1:])
+            for ino in sorted(dead, key=tree.depth, reverse=True):
+                tree.remove(ino)
+        except (KeyError, OSError) as exc:
+            raise ValueError(exc.args[0]) from None
+        for ino in dead:
+            tree._name[ino] = sys.intern(names[ino])
+        return tree
 
     def makedirs(self, path: str) -> int:
         """Create every missing directory along ``path``; returns the leaf ino."""

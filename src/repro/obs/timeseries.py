@@ -38,6 +38,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster.imbalance import imbalance_factor
+
 __all__ = [
     "TimelineCollector",
     "NULL_TIMELINE",
@@ -74,19 +76,6 @@ CLUSTER_COLUMNS = (
     "migrations",
     "imbalance",
 )
-
-
-def _imbalance(loads: np.ndarray) -> float:
-    """Lunule's imbalance factor on a window's per-MDS busy vector."""
-    total = float(loads.sum())
-    n = loads.size
-    if total <= 0.0 or n <= 1:
-        return 0.0
-    mean = total / n
-    denom = total - mean
-    if denom <= 0.0:
-        return 0.0
-    return float(min(max((float(loads.max()) - mean) / denom, 0.0), 1.0))
 
 
 class TimelineCollector:
@@ -254,7 +243,7 @@ class TimelineCollector:
     def advance(self, now: float) -> None:
         """Close windows until ``now`` falls inside the open one.
 
-        Driven by ``Environment.step`` through the ``env.timeline`` hook; an
+        Driven by ``Environment.run`` through the ``env.timeline`` hook; an
         idle gap closes a run of empty windows (deltas land in the first)."""
         while now >= self.window_end_ms and not self._finalized:
             self._close(self.window_end_ms)
@@ -305,7 +294,7 @@ class TimelineCollector:
             self._prev_wal_appends = wal_a
             self._prev_fsyncs = fsyncs
             self._prev_wal_ms = wal_ms
-            self._imb[i] = _imbalance(m["busy_ms"][i])
+            self._imb[i] = imbalance_factor(m["busy_ms"][i])
 
             hits, misses = fs.cache.counters()
             self._cache_hits[i] = hits - self._prev_cache[0]

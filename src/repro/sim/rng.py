@@ -98,3 +98,13 @@ class SeedSequenceFactory:
 
     def spawn(self, names: Sequence[str]) -> Dict[str, RngStream]:
         return {n: self.stream(n) for n in names}
+
+    def state(self) -> Dict[str, dict]:
+        """Bit-generator state of every stream handed out so far, by name."""
+        return {name: s.generator.bit_generator.state for name, s in self._cache.items()}
+
+    def restore(self, state: Dict[str, dict]) -> None:
+        """Put each named stream in ``state`` back where :meth:`state` found it;
+        a stream asked for later continues from there."""
+        for name, bit_state in state.items():
+            self.stream(name).generator.bit_generator.state = bit_state

@@ -13,24 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel.optypes import OpType
-from repro.durability.checkpoint import _tree_state
 from repro.namespace.builder import build_web_tree
 from repro.namespace.tree import ROOT_INO, NamespaceTree
 from repro.sim import SeedSequenceFactory
 from repro.workloads import generate_trace_ro
 from repro.workloads.trace import TraceBuilder
 from repro.workloads.zipfian import DriftingZipf
+from tests.test_workload_pins import full_state
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
-
-
-def full_state(tree: NamespaceTree) -> dict:
-    """Every field of the tree, child-map insertion order included."""
-    state = _tree_state(tree)
-    state["children"] = [
-        None if kids is None else list(kids.items()) for kids in tree._children
-    ]
-    return state
 
 
 def dfs_arrays(tree: NamespaceTree) -> list:
@@ -179,6 +170,21 @@ def test_create_many_rejects_columns_of_unequal_length():
         with pytest.raises(ValueError):
             tree.create_many(*cols)
     assert full_state(tree) == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=0, max_value=300))
+def test_from_columns_rebuilds_every_field(seed, n):
+    """The rebuild bundles and checkpoints share, against a tree grown and
+    pruned one call at a time: dead inos keep their names, and child-map
+    order, depths, counters and ``version`` come out equal."""
+    tree, _ = _random_tree(np.random.default_rng(seed), n)
+    cols = tree.columns()
+    rebuilt = NamespaceTree.from_columns(
+        cols["parent"], cols["name"], cols["ftype"], cols["alive"], cols["size"]
+    )
+    assert full_state(rebuilt) == full_state(tree)
+    assert rebuilt.columns() == cols
 
 
 # ------------------------------------------------------------ DriftingZipf

@@ -271,6 +271,12 @@ OUT_OF_RANGE = [
     (["workload", "rw", "--ops", "100", "--seed", "-1"], "--seed"),
     (["workload", "rw", "--ops", "-3"], "--ops"),
     (["run", "theorem1_gap", "--scale", "smoke", "--seed", "-1"], "--seed"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--trace-sample", "0"], "--trace-sample"),
+    (["train", "rw", "--ops", "500", "--rounds", "0"], "--rounds"),
+    (["plan", "rw", "--ops", "500", "--moves", "-1"], "--moves"),
+    (["obs", "timeline", "tl.jsonl", "--limit", "-2"], "--limit"),
+    (["obs", "heatmap", "tl.jsonl", "--width", "0"], "--width"),
+    (["bench", "run", "--workers", "0"], "--workers"),
 ]
 
 
@@ -282,16 +288,23 @@ def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    # argparse's usage block, then the one error line
-    assert err.splitlines()[-1].startswith(f"repro {argv[0]}: error: argument {flag}: must be ")
+    # argparse's usage block, then the one error line (obs and bench nest
+    # their subcommands one level deeper)
+    prog = " ".join(["repro", *argv[: 2 if argv[0] in ("obs", "bench") else 1]])
+    assert err.splitlines()[-1].startswith(f"{prog}: error: argument {flag}: must be ")
     assert "Traceback" not in err
 
 
-def test_simulate_rejects_bad_trace_sample_and_slo(tmp_path, capsys):
-    assert main([
-        "simulate", "Lunule", "rw", "--ops", "1000", "--trace-sample", "0",
-    ]) == 2
-    assert "--trace-sample" in capsys.readouterr().err
+def test_train_on_too_few_ops_is_a_usage_error(capsys):
+    # 4,000 ops fill less than one 4,000-op labelling epoch: no samples
+    assert main(["train", "rw", "--ops", "4000"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "repro train: dataset too small to split: 0 samples from 4,000 ops; raise --ops"
+    ]
+
+
+def test_simulate_rejects_bad_slo(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert main([

@@ -1,7 +1,11 @@
 """Simulation checkpoint capture/restore tests (repro.durability.checkpoint)."""
 
+import copy
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,9 @@ from repro.durability import CHECKPOINT_SCHEMA_VERSION, Checkpointer, SimCheckpo
 from repro.durability.errors import CheckpointError
 from repro.fs.filesystem import OrigamiFS, SimConfig
 from repro.harness.experiments import build_workload
+from repro.namespace.inode import FileType
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _segmented_run(tmp_path, *, use_kvstore=False, data_dir=None, n_ops=1200, split=600,
@@ -163,3 +170,84 @@ def test_restored_tree_preserves_ino_numbering(tmp_path):
     import numpy as np
 
     assert np.array_equal(fs1.pmap.owner_array(), fs2.pmap.owner_array())
+
+
+# ------------------------------------------------------ malformed payloads
+MALFORMED_TREES = (
+    "short column",
+    "parent past the end",
+    "parent after its child",
+    "file as a parent",
+    "duplicate sibling",
+)
+
+
+def _malformed_tree(tree: dict, how: str) -> dict:
+    """A copy of a checkpoint's tree payload, broken one way."""
+    t = copy.deepcopy(tree)
+    live = [i for i in range(1, len(t["parent"])) if t["alive"][i]]
+    dirs = [i for i in live if t["ftype"][i] == int(FileType.DIRECTORY)]
+    if how == "short column":
+        t["alive"].pop()
+    elif how == "parent past the end":
+        t["parent"][live[-1]] = len(t["parent"]) + 3
+    elif how == "parent after its child":
+        t["parent"][live[0]] = dirs[-1]
+    elif how == "file as a parent":
+        t["parent"][live[-1]] = next(i for i in live[:-1] if i not in dirs)
+    else:
+        a, b = next((a, b) for a, b in zip(live, live[1:]) if t["parent"][a] == t["parent"][b])
+        t["name"][b] = t["name"][a]
+    return t
+
+
+def malformed_tree_outcomes() -> dict:
+    """The exception each malformed tree payload's restore raises, by name
+    (None for a restore that succeeds)."""
+    built, trace = build_workload("rw", 300, seed=1)
+    fs = OrigamiFS(built.tree, trace, LunulePolicy(), SimConfig(n_mds=2, seed=0))
+    fs.run()
+    payload = Checkpointer().capture(fs).to_dict()
+    outcomes = {}
+    for how in MALFORMED_TREES:
+        ck = SimCheckpoint.from_dict(dict(payload, tree=_malformed_tree(payload["tree"], how)))
+        try:
+            Checkpointer().restore(ck, trace, LunulePolicy(), SimConfig(n_mds=2, seed=0))
+            outcomes[how] = None
+        except Exception as exc:
+            outcomes[how] = type(exc).__name__
+    return outcomes
+
+
+def test_malformed_tree_payload_is_a_checkpoint_error():
+    assert malformed_tree_outcomes() == dict.fromkeys(MALFORMED_TREES, "CheckpointError")
+
+
+def test_malformed_tree_payload_is_a_checkpoint_error_under_python_O():
+    # python -O strips assert statements: the checks must not be asserts
+    code = (
+        "import json; from tests.test_durability_checkpoint import "
+        "malformed_tree_outcomes; print(json.dumps(malformed_tree_outcomes()))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    outcomes = json.loads(out.stdout.splitlines()[-1])
+    assert outcomes == dict.fromkeys(MALFORMED_TREES, "CheckpointError")
+
+
+@pytest.mark.parametrize("key, broken", [
+    ("epochs", [{"epoch": 0}]),
+    ("cache", {"hits": "many"}),
+    ("latency", {"count": 3}),
+    ("rng_streams", {"fs": {"bit_generator": "MT19937"}}),
+])
+def test_malformed_component_state_is_a_checkpoint_error(tmp_path, key, broken):
+    path, trace = _saved_checkpoint(tmp_path)
+    payload = SimCheckpoint.load(path).to_dict()
+    ck = SimCheckpoint.from_dict(dict(payload, **{key: broken}))
+    with pytest.raises(CheckpointError):
+        Checkpointer().restore(ck, trace, LunulePolicy(), SimConfig(n_mds=2, seed=0))

@@ -134,7 +134,6 @@ def _ctx_with_liveness(tree, pmap, loads, liveness, reads_on=None):
         mds_load=np.asarray(loads, dtype=np.float64),
         params=CostParams(cache_depth=2),
         rng=stream(),
-        mds_up=liveness.serving_mask() if liveness is not None else None,
         liveness=liveness,
     )
 

@@ -265,7 +265,7 @@ class _DeadMdsWatch:
 
     def rebalance(self, ctx):
         decisions = self.policy.rebalance(ctx)
-        if ctx.mds_up is not None and not ctx.mds_up[0]:
+        if not ctx.liveness.serving_mask()[0]:
             plan = ctx.pmap.copy()
             for d in decisions:
                 d.validate(plan)  # raises if an earlier decision moved it

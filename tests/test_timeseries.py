@@ -9,7 +9,8 @@ the simulator.  End-to-end exactness lives in ``test_obs_parity.py``.
 import pytest
 
 from repro.obs import NULL_TIMELINE, TimelineCollector
-from repro.obs.timeseries import PER_MDS_COLUMNS, _imbalance
+from repro.cluster.imbalance import imbalance_factor
+from repro.obs.timeseries import PER_MDS_COLUMNS
 
 
 def test_constructor_validation():
@@ -133,9 +134,10 @@ def test_null_timeline_is_inert():
 def test_imbalance_factor_edge_cases():
     import numpy as np
 
-    assert _imbalance(np.array([5.0, 5.0, 5.0])) == 0.0
-    assert _imbalance(np.array([9.0, 0.0, 0.0])) == 1.0
-    assert _imbalance(np.array([0.0, 0.0])) == 0.0
-    assert _imbalance(np.array([3.0])) == 0.0
-    mid = _imbalance(np.array([4.0, 2.0, 0.0]))
+    # the timeline scores each window's per-MDS busy vector with it
+    assert imbalance_factor(np.array([5.0, 5.0, 5.0])) == 0.0
+    assert imbalance_factor(np.array([9.0, 0.0, 0.0])) == 1.0
+    assert imbalance_factor(np.array([0.0, 0.0])) == 0.0
+    assert imbalance_factor(np.array([3.0])) == 0.0
+    mid = imbalance_factor(np.array([4.0, 2.0, 0.0]))
     assert 0.0 < mid < 1.0

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.bench.store import write_json
-from repro.durability.checkpoint import _tree_state
 from repro.sim import SeedSequenceFactory
 from repro.workloads import WORKLOADS
 
@@ -51,6 +50,40 @@ def _plain(obj):
     raise TypeError(f"cannot pin {type(obj).__name__}")
 
 
+def tree_state(tree) -> dict:
+    """Every internal array and counter of a NamespaceTree, JSON-ready.
+
+    The numpy columns are sliced to the logical extent and converted to
+    plain Python scalars; each child map stays a dict.
+    """
+    n = tree.capacity
+    return {
+        "parent": tree._parent[:n].tolist(),
+        "name": list(tree._name),
+        "ftype": tree._ftype[:n].tolist(),
+        "depth": tree._depth[:n].tolist(),
+        "alive": tree._alive[:n].tolist(),
+        "size": tree._size[:n].tolist(),
+        "children": [
+            None if kids is None else dict(kids) for kids in tree._children
+        ],
+        "n_child_files": tree._n_child_files[:n].tolist(),
+        "n_child_dirs": tree._n_child_dirs[:n].tolist(),
+        "num_dirs": tree._num_dirs,
+        "num_files": tree._num_files,
+        "version": tree.version,
+    }
+
+
+def full_state(tree) -> dict:
+    """:func:`tree_state` with each child map's insertion order pinned too."""
+    state = tree_state(tree)
+    state["children"] = [
+        None if kids is None else list(kids.items()) for kids in tree._children
+    ]
+    return state
+
+
 def _column(arr) -> list:
     return None if arr is None else [arr.dtype.str, arr.tobytes().hex()]
 
@@ -64,14 +97,8 @@ def workload_digest(kind: str, seed: int, scale: float) -> str:
         base = inspect.signature(generate).parameters[size_kw].default
         kwargs[size_kw] = max(1, int(round(base * scale)))
     built, trace = generate(rng, n_ops=N_OPS, **kwargs)
-    tree = built.tree
-    state = _tree_state(tree)
-    # _tree_state keeps each child map as a dict; pin its insertion order too
-    state["children"] = [
-        None if kids is None else list(kids.items()) for kids in tree._children
-    ]
     record = {
-        "tree": state,
+        "tree": full_state(built.tree),
         "read_dirs": built.read_dirs,
         "write_dirs": built.write_dirs,
         "info": built.info,
