@@ -24,7 +24,9 @@ shows up in its profile.
 Under the table the script prints what CPython's cyclic collector did during
 the profiled call (collections, seconds and objects freed per generation,
 from ``gc.callbacks``): cProfile charges a collection to whichever call
-happened to allocate, so the table cannot show that layer.
+happened to allocate, so the table cannot show that layer.  It then prints
+the process's peak resident set size so far (``ru_maxrss``), which
+``--json`` writes as ``peak_rss_mb``.
 
 The same table is available on any simulation via ``repro simulate
 --profile``; this helper just fixes the configuration to the one the
@@ -39,6 +41,7 @@ import cProfile
 import gc
 import json
 import pstats
+import resource
 import sys
 import time
 
@@ -137,6 +140,9 @@ def main(argv=None) -> int:
     for gen, row in collector.items():
         print(f"  {gen}: {row['collections']:,} collections, {row['seconds']:.3f} s, "
               f"{row['objects_freed']:,} objects freed")
+    # ru_maxrss is in KiB on Linux
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS of the process (ru_maxrss): {peak_rss_mb:,.1f} MiB")
     print()
 
     best = None
@@ -168,6 +174,7 @@ def main(argv=None) -> int:
             "best_unprofiled_events_per_wall_sec": (
                 round(best, 1) if best is not None else None
             ),
+            "peak_rss_mb": round(peak_rss_mb, 1),
             "hotspots": _hotspot_rows(stats, args.top),
             "gc": {
                 gen: dict(row, seconds=round(row["seconds"], 6))

@@ -128,9 +128,11 @@ class AccessStats:
             self._writes[:cap].copy(),
             self._lsdirs[:cap].copy(),
         )
-        self._reads[:] = 0
-        self._writes[:] = 0
-        self._lsdirs[:] = 0
+        # nothing past the tree's capacity is ever counted; zeroing the
+        # doubled tail would only fault its pages in
+        self._reads[:cap] = 0
+        self._writes[:cap] = 0
+        self._lsdirs[:cap] = 0
         self._epoch += 1
         return snap
 

@@ -178,6 +178,35 @@ def test_access_stats_growths_logarithmic():
     assert stats.growths - before <= 3
 
 
+def test_access_stats_snapshots_across_growths_keep_the_tail_zero():
+    """Each epoch's snapshot holds exactly its counts while the tree (and
+    the doubled counter arrays) grow, and nothing past the tree's capacity
+    is ever counted, so the reset need not zero it."""
+    tree = NamespaceTree()
+    stats = AccessStats(tree)
+    rng = np.random.default_rng(3)
+    for epoch in range(5):
+        k = 40 * 3**epoch
+        tree.create_many(np.zeros(k, dtype=np.int64), [f"e{epoch}_{i}" for i in range(k)],
+                         np.ones(k, dtype=bool))
+        cap = tree.capacity
+        want = {kind: np.zeros(cap, dtype=np.int64) for kind in ("reads", "writes", "lsdirs")}
+        for ino in rng.integers(0, cap, size=200).tolist():
+            kind = ("reads", "writes", "lsdirs")[ino % 3]
+            if ino % 2:
+                getattr(stats, f"record_{kind[:-1]}")(ino)
+            else:
+                getattr(stats, f"_buf_{kind}").append(ino)
+            want[kind][ino] += 1
+        want["reads"] += want["lsdirs"]
+        snap = stats.snapshot_and_reset()
+        assert snap.epoch == epoch
+        for kind, counts in want.items():
+            assert np.array_equal(getattr(snap, kind), counts), kind
+            assert not getattr(stats, f"_{kind}").any(), kind
+    assert stats.growths >= 3 and stats._reads.shape[0] > tree.capacity
+
+
 def test_access_stats_subtree_totals():
     built = build_balanced(2, 2, 0)
     tree = built.tree

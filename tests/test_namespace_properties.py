@@ -1,10 +1,10 @@
 """Property tests for the array-backed namespace tree and its DFS index.
 
-The vectorized-replay PR moved every per-inode column of
-:class:`~repro.namespace.tree.NamespaceTree` into growable numpy arrays and
-rebuilt :meth:`~repro.namespace.tree.NamespaceTree._build_dfs` as a
-lexsort/CSR pass.  These tests pin the two contracts that refactor must
-preserve for *arbitrary* shapes, not just the golden workloads:
+:class:`~repro.namespace.tree.NamespaceTree` keeps every per-inode column
+in growable numpy arrays and builds its DFS index
+(:meth:`~repro.namespace.tree.NamespaceTree._build_dfs`) with numpy passes.
+These tests pin the two contracts that design must preserve for
+*arbitrary* shapes, not just the golden workloads:
 
 * the DFS index's interval arithmetic (``subtree_sum``,
   ``dirs_in_subtree``, ``contains``, ``subtree_size``) agrees with a naive
