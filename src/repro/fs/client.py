@@ -418,10 +418,10 @@ class ClientWorker:
                             if legs is not steps or not is_lsdir:
                                 break
                             # lsdir then asks every other MDS holding children;
-                            # looked up only now (file creates change the set
-                            # without moving the plan stamp).  No comprehension:
-                            # it would make ``fanout`` a cell, one more GC-tracked
-                            # object per client
+                            # looked up only now (under F-Hash, file creates and
+                            # unlinks change the set without moving the plan
+                            # stamp).  No comprehension: it would make ``fanout``
+                            # a cell, one more GC-tracked object per client
                             legs = map(fanout.__getitem__, sorted(pmap.lsdir_owners(dir_ino)))
 
                         if is_lsdir:
