@@ -26,7 +26,6 @@ from repro.balancers.base import (
     EpochContext,
     hottest_source,
     plan_evacuations,
-    subtree_loads,
 )
 from repro.balancers.lunule import plan_exports
 from repro.cluster.imbalance import imbalance_factor
@@ -127,7 +126,7 @@ class AdamRLPolicy(BalancePolicy):
         decisions: List[MigrationDecision] = []
         src = hottest_source(ctx) if max_moves > 0 else None
         if src is not None:
-            sub = subtree_loads(ctx)
+            sub = ctx.snapshot.subtree_ops(ctx.tree)
             moves = plan_exports(ctx, sub, src, max_moves, aggressiveness=budget_mult)
             decisions = [
                 MigrationDecision(s, src, dst, predicted_benefit=float(sub[s]))

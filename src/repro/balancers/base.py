@@ -207,7 +207,7 @@ def plan_evacuations(ctx: EpochContext) -> List[MigrationDecision]:
     est = loads.copy()
     total_ops = float(ctx.snapshot.total_ops) or 1.0
     ms_per_op = float(loads.sum()) / total_ops
-    sub = subtree_loads(ctx)
+    sub = ctx.snapshot.subtree_ops(tree)
     idx = tree.dfs_index()
     uniform = pmap.uniform_subtree_mask()
     covered = np.zeros(cap, dtype=bool)
@@ -239,19 +239,3 @@ def hottest_source(ctx: EpochContext) -> Optional[int]:
         loads = np.where(src_ok, loads, -np.inf)
     src = int(np.argmax(loads))
     return src if np.isfinite(loads[src]) else None
-
-
-def subtree_loads(ctx: EpochContext) -> np.ndarray:
-    """Per-directory subtree access totals for the ended epoch (ino-indexed)."""
-    tree = ctx.tree
-    idx = tree.dfs_index()
-    cap = tree.capacity
-
-    def pad(a: np.ndarray) -> np.ndarray:
-        out = np.zeros(cap, dtype=np.float64)
-        n = min(a.shape[0], cap)
-        out[:n] = a[:n]
-        return out
-
-    per_dir = pad(ctx.snapshot.reads) + pad(ctx.snapshot.writes)
-    return idx.subtree_sum(per_dir)

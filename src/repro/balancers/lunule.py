@@ -22,21 +22,10 @@ from repro.balancers.base import (
     LunuleTrigger,
     hottest_source,
     plan_evacuations,
-    subtree_loads,
 )
 from repro.cluster.migration import MigrationDecision
 
-__all__ = ["LunulePolicy", "plan_exports", "dir_op_counts"]
-
-
-def dir_op_counts(ctx: EpochContext) -> np.ndarray:
-    """Per-directory (non-rollup) op counts for the ended epoch, ino-indexed."""
-    cap = ctx.tree.capacity
-    per_dir = np.zeros(cap)
-    for arr in (ctx.snapshot.reads, ctx.snapshot.writes):
-        n = min(arr.shape[0], cap)
-        per_dir[:n] += arr[:n]
-    return per_dir
+__all__ = ["LunulePolicy", "plan_exports"]
 
 
 def plan_exports(
@@ -57,7 +46,7 @@ def plan_exports(
     pmap, tree = ctx.pmap, ctx.tree
     loads = np.asarray(ctx.mds_load, dtype=np.float64)
     owner = pmap.owner_array()
-    per_dir = dir_op_counts(ctx)
+    per_dir = ctx.snapshot.dir_ops(tree.capacity)
     dirs_of_src = np.nonzero((owner == src) & tree.dir_mask()[: owner.shape[0]])[0]
     src_ops = float(per_dir[dirs_of_src].sum())
     if src_ops <= 0 or loads[src] <= 0:
@@ -130,7 +119,7 @@ class LunulePolicy(BalancePolicy):
         src = hottest_source(ctx)
         if src is None:
             return evacuations
-        sub_loads = subtree_loads(ctx)
+        sub_loads = ctx.snapshot.subtree_ops(ctx.tree)
         moves = plan_exports(ctx, sub_loads, src, self.max_moves)
         return evacuations + [
             MigrationDecision(s, src, dst, predicted_benefit=float(sub_loads[s]))

@@ -22,7 +22,7 @@ from repro.balancers.base import (
     hottest_source,
     plan_evacuations,
 )
-from repro.balancers.lunule import dir_op_counts, plan_exports
+from repro.balancers.lunule import plan_exports
 from repro.cluster.migration import MigrationDecision
 from repro.ml.dataset import FeatureExtractor
 
@@ -64,7 +64,7 @@ class MLTreePolicy(BalancePolicy):
         self._last_moved: dict = {}
 
     def _predicted_dir_loads(self, ctx: EpochContext) -> np.ndarray:
-        observed = dir_op_counts(ctx)
+        observed = ctx.snapshot.dir_ops(ctx.tree.capacity)
         if self.model is None:
             return observed
         uniform = ctx.pmap.uniform_subtree_mask()

@@ -173,15 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
                          "steady-state events/sec and per-window throughput")
 
     ob = sub.add_parser("obs", help="inspect timeline telemetry files")
-    ob.set_defaults(func=_cmd_obs)
     osub = ob.add_subparsers(dest="obs_command", required=True)
 
     ot = osub.add_parser("timeline", help="per-window table of a timeline file")
+    ot.set_defaults(func=_cmd_obs_timeline)
     ot.add_argument("timeline", help="JSONL written by `simulate --timeline`")
     ot.add_argument("--limit", type=_NON_NEGATIVE, default=0, metavar="N",
                     help="show only the last N windows (default: all)")
 
     oh = osub.add_parser("heatmap", help="ASCII per-MDS load heatmap")
+    oh.set_defaults(func=_cmd_obs_heatmap)
     oh.add_argument("timeline", help="JSONL written by `simulate --timeline`")
     oh.add_argument("--metric", default="ops", choices=tuple(HEATMAP_METRICS),
                     help="per-MDS series to shade (default: ops)")
@@ -189,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max heatmap columns; wider timelines are max-pooled")
 
     os_ = osub.add_parser("slo", help="evaluate an SLO spec; exit 1 on breach")
+    os_.set_defaults(func=_cmd_obs_slo)
     os_.add_argument("timeline", help="JSONL written by `simulate --timeline`")
     os_.add_argument("spec", help="JSON SLO spec (see docs/observability.md)")
     os_.add_argument("--faults", dest="faults_path", default=None, metavar="PATH",
@@ -616,52 +618,69 @@ def _render_timeline_throughput(meta, rows) -> str:
     return "\n".join(lines)
 
 
-def _cmd_obs(args) -> int:
+def _load_obs_timeline(path: str):
+    """``(meta, rows)`` of a timeline file, or None once the reason it
+    cannot be read is printed."""
     from repro.obs.export import load_timeline
 
     try:
-        meta, rows = load_timeline(args.timeline)
+        return load_timeline(path)
     except (OSError, ValueError) as exc:
         print(f"repro obs: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_obs_timeline(args) -> int:
+    from repro.obs.export import render_timeline_table
+
+    loaded = _load_obs_timeline(args.timeline)
+    if loaded is None:
         return 2
-    if args.obs_command == "timeline":
-        from repro.obs.export import render_timeline_table
+    meta, rows = loaded
+    print(f"timeline: {args.timeline} — {len(rows)} windows x "
+          f"{meta.get('window_ms', 0):g} ms, {meta.get('n_mds', '?')} MDS")
+    print(render_timeline_table(rows, limit=args.limit))
+    return 0
 
-        print(f"timeline: {args.timeline} — {len(rows)} windows x "
-              f"{meta.get('window_ms', 0):g} ms, {meta.get('n_mds', '?')} MDS")
-        print(render_timeline_table(rows, limit=args.limit))
-        return 0
-    if args.obs_command == "heatmap":
-        from repro.obs.export import render_heatmap
 
-        print(render_heatmap(rows, metric=args.metric, width=args.width))
-        return 0
-    if args.obs_command == "slo":
-        from repro.obs.slo import SloError, SloSpec, evaluate_slo
+def _cmd_obs_heatmap(args) -> int:
+    from repro.obs.export import render_heatmap
 
-        faults = None
-        if args.faults_path:
-            from repro.fs.faults import FaultSchedule
+    loaded = _load_obs_timeline(args.timeline)
+    if loaded is None:
+        return 2
+    print(render_heatmap(loaded[1], metric=args.metric, width=args.width))
+    return 0
 
-            try:
-                faults = FaultSchedule.load(args.faults_path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"repro obs slo: bad fault schedule: {exc}", file=sys.stderr)
-                return 2
+
+def _cmd_obs_slo(args) -> int:
+    from repro.obs.slo import SloError, SloSpec, evaluate_slo
+
+    loaded = _load_obs_timeline(args.timeline)
+    if loaded is None:
+        return 2
+    faults = None
+    if args.faults_path:
+        from repro.fs.faults import FaultSchedule
+
         try:
-            spec = SloSpec.load(args.spec)
-            report = evaluate_slo(rows, spec, faults=faults)
-        except (OSError, SloError) as exc:
-            print(f"repro obs slo: bad SLO spec: {exc}", file=sys.stderr)
+            faults = FaultSchedule.load(args.faults_path)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"repro obs slo: bad fault schedule: {exc}", file=sys.stderr)
             return 2
-        print(report.render())
-        if args.json_out:
-            with open(args.json_out, "w") as f:
-                json.dump(report.to_dict(), f, indent=2)
-                f.write("\n")
-            print(f"[json written to {args.json_out}]")
-        return 0 if report.ok else 1
-    raise AssertionError("unreachable")
+    try:
+        spec = SloSpec.load(args.spec)
+        report = evaluate_slo(loaded[1], spec, faults=faults)
+    except (OSError, SloError) as exc:
+        print(f"repro obs slo: bad SLO spec: {exc}", file=sys.stderr)
+        return 2
+    print(report.render())
+    if args.json_out:
+        with open(args.json_out, "w") as f:
+            json.dump(report.to_dict(), f, indent=2)
+            f.write("\n")
+        print(f"[json written to {args.json_out}]")
+    return 0 if report.ok else 1
 
 
 def _cmd_recover(args) -> int:

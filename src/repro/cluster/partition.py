@@ -12,9 +12,10 @@ Two placement regimes share this one class:
 * **hash placement** (C-Hash / F-Hash): a ``placement`` callable pins each
   new directory independently; :meth:`assign_dir` applies it.
 
-``version`` increments on every ownership change and every sync after a
-tree mutation; ``dir_version`` only when directory ownership may have
-changed.  Caches (path-m memo, child-owner sets) key on one or the other.
+``dir_version`` increments whenever directory ownership may have changed:
+on every ownership change, and on a sync after a directory was created,
+removed or renamed.  File creates, unlinks and renames do not move it.  The
+client plan cache and the colocated lsdir cache key on it.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ class PartitionMap:
         self._filled = tree.capacity
         mask = tree.dir_mask()
         self._owner[mask] = initial_owner
-        self.version = 0
-        #: bumped only when *directory ownership* may have changed — unlike
-        #: ``version``, which also ticks on pure file-fill syncs.  Consumers
-        #: caching per-directory routing decisions (the client plan cache)
-        #: key on this so file-heavy replay does not thrash them.
+        #: bumped only when *directory ownership* may have changed, never on
+        #: a sync that only filled file inos.  Consumers caching
+        #: per-directory routing decisions (the client plan cache) key on
+        #: this so file-heavy replay does not thrash them.
         self.dir_version = 0
         self._tree_version = tree.version
         self._view: Optional[np.ndarray] = None
@@ -123,7 +123,6 @@ class PartitionMap:
                     po = view[int(parents[ino])]
                     view[ino] = po if po >= 0 else 0
         self._tree_version = tree.version
-        self.version += 1
         if version_changed or filled_dir:
             self.dir_version += 1
         self._syncing = False
@@ -211,7 +210,6 @@ class PartitionMap:
         idx = self.tree.dfs_index()
         dirs = idx.dirs_in_subtree(root_ino)
         self._owner[dirs] = dst
-        self.version += 1
         self.dir_version += 1
         return int(dirs.shape[0])
 
@@ -222,7 +220,6 @@ class PartitionMap:
             raise ValueError(f"mds {mds} out of range")
         self.tree._check_dir(dir_ino)
         self._owner[dir_ino] = mds
-        self.version += 1
         self.dir_version += 1
 
     def assign_bulk(self, owners: np.ndarray) -> None:
@@ -236,7 +233,6 @@ class PartitionMap:
         if vals.size and (vals.min() < 0 or vals.max() >= self.n_mds):
             raise ValueError("owner out of range in bulk assignment")
         self._owner[: self.tree.capacity][mask] = owners[mask].astype(np.int16)
-        self.version += 1
         self.dir_version += 1
 
     # ------------------------------------------------------------- summaries
@@ -282,25 +278,23 @@ class PartitionMap:
         """Distinct *other* MDSs holding this directory's children.
 
         Includes child directories always, and child file inodes when file
-        placement shards them.  Cached per directory, since lsdir-heavy
-        traces hit the same hot directories repeatedly.  With colocated file
-        inodes (``file_placement is None``) the cache key is ``dir_version``:
-        only child directories count, and every mkdir, rmdir, rename or
-        ownership change bumps it, while a file create does not.  Under file
-        placement the key is ``(version, tree.version)``: every create bumps
-        it, but a file unlink or a file rename does not, so the cached set
-        can still name the MDS of a file that has left the directory until
-        the next create anywhere in the tree.
+        placement shards them.  With colocated file inodes (``file_placement
+        is None``) only child directories count, so the set is cached per
+        directory on ``dir_version``: every mkdir, rmdir, rename or ownership
+        change bumps it, while a file create does not, and lsdir-heavy traces
+        hit the same hot directories repeatedly.  Under file placement every
+        file create, unlink or rename can change the set, so it is computed
+        on every call.
         """
         self._sync()
         tree = self.tree
         colocated = self.file_placement is None
-        key = self.dir_version if colocated else (self.version, tree.version)
-        hit = self._lsdir_cache.get(dir_ino)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        if colocated and not tree.n_child_dirs(dir_ino):
-            return frozenset()
+        if colocated:
+            hit = self._lsdir_cache.get(dir_ino)
+            if hit is not None and hit[0] == self.dir_version:
+                return hit[1]
+            if not tree.n_child_dirs(dir_ino):
+                return frozenset()
         own = self.owner(dir_ino)
         kids = tree.children(dir_ino)
         others = {
@@ -314,8 +308,9 @@ class PartitionMap:
                     o = self.file_placement(self, dir_ino, name)
                     if o != own:
                         others.add(int(o))
+            return frozenset(others)
         result = frozenset(others)
-        self._lsdir_cache[dir_ino] = (key, result)
+        self._lsdir_cache[dir_ino] = (self.dir_version, result)
         return result
 
     def lsdir_fanout(self, dir_ino: int) -> int:
@@ -333,7 +328,6 @@ class PartitionMap:
         dup._lsdir_cache = {}
         dup._owner = self._owner.copy()
         dup._filled = self._filled
-        dup.version = self.version
         dup.dir_version = self.dir_version
         dup._tree_version = self._tree_version
         dup._view = None

@@ -26,7 +26,6 @@ from repro.balancers.base import (
     LunuleTrigger,
     hottest_source,
     plan_evacuations,
-    subtree_loads,
 )
 from repro.cluster.migration import MigrationDecision
 from repro.ml.dataset import FeatureExtractor
@@ -50,7 +49,6 @@ class OrigamiPolicy(BalancePolicy):
         benefit_threshold_frac: float = 0.005,
         max_moves_per_epoch: int = 6,
         cooldown_epochs: int = 3,
-        fallback_to_load_planning: bool = True,
     ):
         """``model`` maps Table-1 features to predicted migration benefit
         (trained on Meta-OPT labels).  ``benefit_threshold_frac`` sets the
@@ -63,16 +61,15 @@ class OrigamiPolicy(BalancePolicy):
         observed causes hotspot ping-pong (the "progressive" transfer of
         §5.5 is exactly the absence of that thrash).
 
-        ``fallback_to_load_planning``: when the trigger demands rebalancing
-        but no predicted-benefit move qualifies (a cold or out-of-domain
-        model), fall back to observed-load export planning — the Lunule
-        machinery underneath the ML layer never goes away."""
+        When the trigger demands rebalancing but no predicted-benefit move
+        qualifies (a cold or out-of-domain model), the policy falls back to
+        observed-load export planning — the Lunule machinery underneath the
+        ML layer never goes away."""
         self.model = model
         self.trigger = trigger or LunuleTrigger()
         self.benefit_threshold_frac = benefit_threshold_frac
         self.max_moves = max_moves_per_epoch
         self.cooldown_epochs = cooldown_epochs
-        self.fallback_to_load_planning = fallback_to_load_planning
         #: subtree root -> epoch of its last migration
         self._last_moved: dict = {}
 
@@ -99,7 +96,7 @@ class OrigamiPolicy(BalancePolicy):
         X = FeatureExtractor(tree).extract(cands, ctx.snapshot)
         benefit = self.model.predict(X)
         ctx.note_candidates(cands, benefit)
-        sub_load = subtree_loads(ctx)
+        sub_load = ctx.snapshot.subtree_ops(tree)
         # convert op counts to busy-ms so load bookkeeping shares units
         total_ops = float(ctx.snapshot.total_ops) or 1.0
         sub_load = sub_load * (loads.sum() / total_ops)
@@ -153,10 +150,10 @@ class OrigamiPolicy(BalancePolicy):
             self._last_moved[s] = ctx.epoch
             loads[src] -= moved
             loads[dst] += moved
-        if not decisions and self.fallback_to_load_planning:
+        if not decisions:
             from repro.balancers.lunule import plan_exports
 
-            raw = subtree_loads(ctx)
+            raw = ctx.snapshot.subtree_ops(tree)
             src = hottest_source(ctx)
             if src is not None:
                 moves = plan_exports(ctx, raw, src, self.max_moves)

@@ -161,7 +161,6 @@ class SubtreeLedger:
         for p in hot_parents:
             self._parent_child_owners[p] = pmap.child_owner_counts(p)
         self._parents = parents
-        self._owner_arr = owner_arr
 
     # -------------------------------------------------------------- what-ifs
     def evaluate_dst(self, dst: int) -> DstEvaluation:

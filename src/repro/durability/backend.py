@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.durability.manifest import Manifest
 from repro.durability.sstable_io import sstable_path, write_sstable
@@ -69,29 +69,6 @@ class DurableBackend:
         self._pending_deletes: List[int] = []
         self._closed = False
 
-    # ----------------------------------------------------------- construction
-    @classmethod
-    def create(
-        cls,
-        data_dir: str,
-        options: Optional[DurabilityOptions] = None,
-        stats=None,
-        sync_listener: Optional[Callable[[int], None]] = None,
-    ) -> "DurableBackend":
-        """Initialise a fresh data directory (no prior state expected)."""
-        options = options or DurabilityOptions()
-        os.makedirs(data_dir, exist_ok=True)
-        manifest = Manifest.open(data_dir, use_fsync=options.use_fsync)
-        wal = WalWriter(
-            os.path.join(data_dir, "wal"),
-            segment_bytes=options.segment_bytes,
-            group_commit_records=options.group_commit_records,
-            use_fsync=options.use_fsync,
-            stats=stats,
-            sync_listener=sync_listener,
-        )
-        return cls(data_dir, manifest, wal, options)
-
     # ------------------------------------------------------------- write path
     def log_put(self, key: bytes, value: bytes) -> int:
         return self.wal.append(REC_PUT, key, value)
@@ -107,10 +84,6 @@ class DurableBackend:
     def closed(self) -> bool:
         """True once close()/crash() released the WAL (no more appends)."""
         return self.wal.closed
-
-    @property
-    def durable_lsn(self) -> int:
-        return self.wal.durable_lsn
 
     @property
     def last_appended_lsn(self) -> int:

@@ -94,7 +94,6 @@ class SimCheckpoint:
     now_ms: float
     cursor: int
     counters: Dict[str, Any]
-    created_files: List[int]
     owners: List[int]
     tree: Dict[str, Any]
     rng_streams: Dict[str, Any]
@@ -114,6 +113,8 @@ class SimCheckpoint:
             rng_streams.update(
                 (f"fault-{key}", state) for key, state in payload.get("fault_rng", {}).items()
             )
+            # earlier payloads also list the run's created file inos
+            # (``created_files``), which nothing reads
             return cls(
                 strategy=str(payload["strategy"]),
                 seed=int(payload["seed"]),
@@ -124,7 +125,6 @@ class SimCheckpoint:
                 now_ms=float(payload["now_ms"]),
                 cursor=int(payload["cursor"]),
                 counters=dict(payload["counters"]),
-                created_files=[int(i) for i in payload["created_files"]],
                 owners=[int(o) for o in payload["owners"]],
                 tree=payload["tree"],
                 rng_streams=rng_streams,
@@ -195,7 +195,6 @@ class SimCheckpoint:
         for name in _COUNTER_FIELDS:
             if name in self.counters:
                 setattr(fs, name, self.counters[name])
-        fs.created_files = list(self.created_files)
         try:
             fs.epochs = [
                 EpochMetrics(
@@ -269,7 +268,6 @@ class Checkpointer:
             now_ms=env.now,
             cursor=fs.cursor,
             counters={name: getattr(fs, name) for name in _COUNTER_FIELDS},
-            created_files=list(fs.created_files),
             owners=[int(o) for o in fs.pmap.owner_array()],
             tree=fs.tree.columns(),
             rng_streams=fs.rng_streams.state(),

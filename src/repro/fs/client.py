@@ -25,9 +25,9 @@ for speed at a hundred thousand clients:
   compiled into step tuples once per ``(pmap.dir_version, tree.version)``
   window and shared by every worker in ``fs._plan_cache``;
 * **deferred counters** — completion totals nothing reads mid-run, and
-  per-directory access counts (appended to the
-  :class:`~repro.namespace.stats.AccessStats` op buffers), are folded in
-  later rather than per op.
+  per-directory access counts (queued through
+  :class:`~repro.namespace.stats.AccessStats`'s ``charge_read`` and
+  ``charge_write``), are folded in later rather than per op.
 
 Everything else is a branch on a value fixed for the run (see
 :func:`run_state`): span tracing, fault gates with retry/backoff/failover,
@@ -108,9 +108,8 @@ def run_state(fs) -> tuple:
         fs._plan_cache,
         fs.cache.__class__ is NearRootCache,
         fs.cache.__class__ is LeaseCache,
-        fs.stats._buf_reads.append,
-        fs.stats._buf_writes.append,
-        fs.stats._buf_lsdirs.append,
+        fs.stats.charge_read,
+        fs.stats.charge_write,
         # placement shortcuts: with the default colocated/subtree placements
         # the split partner of file ops (and mkdir) is the primary → None
         pmap.file_placement is None,
@@ -139,7 +138,6 @@ class ClientWorker:
     def __init__(self, fs, worker_id: int):
         self.fs = fs
         self.worker_id = worker_id
-        self.ops_done = 0
 
     # ------------------------------------------------------------- planning
     def _plan(self, dir_ino: int, is_lsdir: bool) -> tuple:
@@ -234,12 +232,11 @@ class ClientWorker:
         tree = fs.tree
         try:
             if op == _CREATE:
-                ino = tree.create_file(dir_ino, name)
+                tree.create_file(dir_ino, name)
                 if fs.use_kvstore:
                     fs.servers[fs.pmap.owner(dir_ino)].kv_put(
                         b"%020d/%s" % (dir_ino, name.encode()), b"inode", span
                     )
-                fs.created_files.append(ino)
             elif op == _UNLINK:
                 kids = tree.children(dir_ino)
                 ino = kids.get(name)
@@ -292,9 +289,8 @@ class ClientWorker:
             plan_cache,
             memo,
             leases,
-            buf_read,
-            buf_write,
-            buf_lsdir,
+            charge_read,
+            charge_write,
             colocated_files,
             subtree_dirs,
             latency_record,
@@ -425,7 +421,7 @@ class ClientWorker:
                             legs = map(fanout.__getitem__, sorted(pmap.lsdir_owners(dir_ino)))
 
                         if is_lsdir:
-                            buf_lsdir(dir_ino)
+                            charge_read(dir_ino)
                         elif cat == CATEGORY_NSMUT:
                             name = names[i] if names is not None else ""
                             aux = auxs[i]
@@ -461,12 +457,12 @@ class ClientWorker:
                                     if span is not None:
                                         span.wal_ms += dcost
                                     yield from pserver.service(dcost, span)
-                            buf_write(dir_ino)
+                            charge_write(dir_ino)
                         else:
                             if kvstore:
                                 name = names[i] if names is not None else ""
                                 pserver.kv_get(b"%020d/%s" % (dir_ino, name.encode()), span)
-                            buf_read(dir_ino)
+                            charge_read(dir_ino)
                     except FaultError as fault:
                         # a faulted attempt: fail typed once the budget is
                         # spent, else back off and re-plan against the
@@ -516,6 +512,5 @@ class ClientWorker:
 
         fs.total_rpcs += my_rpcs
         fs.ops_completed += my_ops
-        self.ops_done += my_ops
         if last_now > fs.last_completion_ms:
             fs.last_completion_ms = last_now

@@ -37,8 +37,6 @@ class DataCluster:
         self.bandwidth = bandwidth_mb_per_s
         self.per_op_overhead_ms = per_op_overhead_ms
         self.mean_file_kb = mean_file_kb
-        self.transfers = 0
-        self.bytes_moved = 0
 
     def transfer(self, fs, key: int) -> Generator:
         """Move one file body; server selected by key hash."""
@@ -51,7 +49,5 @@ class DataCluster:
             yield self.env.timeout(duration)
         finally:
             server.release(req)
-        self.transfers += 1
-        self.bytes_moved += int(size_kb * 1024)
         fs.data_ops_completed += 1
         fs.last_completion_ms = self.env.now

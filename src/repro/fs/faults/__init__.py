@@ -19,7 +19,6 @@ from repro.fs.faults.errors import (
     FaultError,
     MdsCrashedError,
     MdsUnavailableError,
-    RetriesExhaustedError,
     RpcDroppedError,
     RpcTimeoutError,
 )
@@ -51,6 +50,5 @@ __all__ = [
     "MdsCrashedError",
     "RpcTimeoutError",
     "RpcDroppedError",
-    "RetriesExhaustedError",
     "SCHEDULE_SCHEMA_VERSION",
 ]

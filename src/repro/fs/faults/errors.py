@@ -16,7 +16,6 @@ __all__ = [
     "MdsCrashedError",
     "RpcTimeoutError",
     "RpcDroppedError",
-    "RetriesExhaustedError",
 ]
 
 
@@ -53,14 +52,3 @@ class RpcDroppedError(FaultError):
     """The RPC was dropped in flight; the client waited out its timeout."""
 
     reason = "rpc_dropped"
-
-
-class RetriesExhaustedError(FaultError):
-    """The op-level retry budget ran out; carries the last underlying fault."""
-
-    reason = "retries_exhausted"
-
-    def __init__(self, mds: int, attempts: int, last: FaultError):
-        self.attempts = attempts
-        self.last = last
-        super().__init__(mds, f"{attempts} attempts, last: {last.reason}")

@@ -54,7 +54,6 @@ class SimConfig:
     seed: int = 0
     #: store inodes in per-MDS LSM stores and move them on migration
     use_kvstore: bool = False
-    migration_cost_per_inode_ms: float = 0.002
     #: client cache design: "near-root" (the paper's, driven by
     #: params.cache_depth), "lease" (full TTL-lease cache — the alternative
     #: the paper rejects; DES-only), or "none"
@@ -205,7 +204,7 @@ class OrigamiFS:
         else:
             self.cache = NearRootCache(tree, self.params.cache_depth)
         self.stats = AccessStats(tree)
-        self.migrator = Migrator(self, self.config.migration_cost_per_inode_ms)
+        self.migrator = Migrator(self)
         self.latency = LatencyRecorder(seed=self.config.seed)
         self.datapath = (
             DataCluster(self.env, **self.config.datapath)
@@ -244,7 +243,6 @@ class OrigamiFS:
         self.data_ops_completed = 0
         #: virtual time of the most recent completed operation (run duration)
         self.last_completion_ms = 0.0
-        self.created_files: List[int] = []
         self.epochs: List = []
 
         if restore_from is not None:

@@ -64,7 +64,6 @@ class MdsServer:
         self._pending_durability_ms = 0.0
         #: recovery report of the latest crash, consumed by restart()
         self._crash_recovery = None
-        self.last_recovery_ms = 0.0
         self.recovery_ms_total = 0.0
         if not use_kvstore:
             self.store: Optional[LSMStore] = None
@@ -138,7 +137,6 @@ class MdsServer:
         if self.durability is not None and self._crash_recovery is not None:
             rec_ms = self.durability.recovery_cost_ms(self._crash_recovery)
             self._crash_recovery = None
-            self.last_recovery_ms = rec_ms
             self.recovery_ms_total += rec_ms
             self._m_recovery.observe(rec_ms)
         return rec_ms

@@ -24,7 +24,6 @@ class MemTable:
     def __init__(self) -> None:
         self._data: dict = {}
         self._sorted_keys: Optional[List[bytes]] = None
-        self.bytes_written = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -35,7 +34,6 @@ class MemTable:
         if key not in self._data:
             self._sorted_keys = None
         self._data[key] = value
-        self.bytes_written += len(key) + len(value)
 
     def delete(self, key: bytes) -> None:
         """Record a tombstone (shadows older runs until compacted away)."""
@@ -65,4 +63,3 @@ class MemTable:
     def clear(self) -> None:
         self._data.clear()
         self._sorted_keys = None
-        self.bytes_written = 0

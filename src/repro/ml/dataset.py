@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.namespace.stats import EpochSnapshot
+from repro.namespace.stats import EpochSnapshot, padded
 from repro.namespace.tree import NamespaceTree
 
 __all__ = ["FEATURE_NAMES", "FeatureExtractor", "TrainingSet"]
@@ -57,24 +57,17 @@ class FeatureExtractor:
         idx = tree.dfs_index()
         candidates = np.asarray(candidates, dtype=np.int64)
 
-        def pad(a: np.ndarray) -> np.ndarray:
-            if a.shape[0] >= cap:
-                return a[:cap].astype(np.float64)
-            out = np.zeros(cap, dtype=np.float64)
-            out[: a.shape[0]] = a
-            return out
-
         # subtree structure rollups
-        files_sub = idx.subtree_sum(pad(tree.child_file_counts()))
+        files_sub = idx.subtree_sum(padded(tree.child_file_counts(), cap))
         dirs_per = np.ones(cap, dtype=np.float64)
         dirs_per[~tree.dir_mask()] = 0.0
         dirs_sub = idx.subtree_sum(dirs_per) - dirs_per  # exclude the root itself
         depths = tree.depth_array().astype(np.float64)
 
         # subtree access rollups (reads include lsdir per the paper's grouping)
-        reads_sub = idx.subtree_sum(pad(snapshot.reads))
-        writes_sub = idx.subtree_sum(pad(snapshot.writes))
-        total_access = float(snapshot.reads.sum() + snapshot.writes.sum())
+        reads_sub = idx.subtree_sum(padded(snapshot.reads, cap))
+        writes_sub = idx.subtree_sum(padded(snapshot.writes, cap))
+        total_access = float(snapshot.total_ops)
 
         depth_c = depths[candidates]
         files_c = files_sub[candidates]

@@ -18,7 +18,7 @@ import numpy as np
 from repro.cluster.partition import PartitionMap
 from repro.core.labels import generate_labels
 from repro.core.metaopt import meta_opt
-from repro.costmodel.optypes import CATEGORY_ARRAY, CATEGORY_LSDIR, CATEGORY_NSMUT
+from repro.costmodel.optypes import CATEGORY_ARRAY, CATEGORY_NSMUT
 from repro.costmodel.params import CostParams
 from repro.ml.dataset import FeatureExtractor, TrainingSet
 from repro.namespace.stats import AccessStats
@@ -33,15 +33,9 @@ __all__ = ["collect_training_data", "record_window"]
 
 def record_window(stats: AccessStats, window: "Trace") -> None:
     """Charge a trace window's ops into the collector counters (vectorised)."""
-    views = stats.views()
-    cap = views["reads"].shape[0]
-    dirs = np.clip(window.dir_ino, 0, cap - 1)
-    cats = CATEGORY_ARRAY[window.op]
-    is_write = cats == CATEGORY_NSMUT
-    is_lsdir = cats == CATEGORY_LSDIR
-    np.add.at(views["writes"], dirs[is_write], 1)
-    np.add.at(views["reads"], dirs[~is_write], 1)
-    np.add.at(views["lsdirs"], dirs[is_lsdir], 1)
+    dirs = np.clip(window.dir_ino, 0, stats.tree.capacity - 1)
+    is_write = CATEGORY_ARRAY[window.op] == CATEGORY_NSMUT
+    stats.charge(dirs[~is_write], dirs[is_write])
 
 
 def collect_training_data(

@@ -36,7 +36,7 @@ def make_ctx(tree, pmap, loads, rng, reads_on=None, epoch=1):
     """Build an EpochContext with synthetic per-dir access counts."""
     stats = AccessStats(tree)
     for dir_ino, n in (reads_on or {}).items():
-        stats.record_read(dir_ino, n)
+        stats.charge([dir_ino] * n)
     snap = stats.snapshot_and_reset()
     return EpochContext(
         tree=tree,

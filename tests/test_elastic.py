@@ -125,7 +125,7 @@ def test_liveness_masks_split_voluntary_and_involuntary():
 def _ctx_with_liveness(tree, pmap, loads, liveness, reads_on=None):
     stats = AccessStats(tree)
     for dir_ino, n in (reads_on or {}).items():
-        stats.record_read(dir_ino, n)
+        stats.charge([dir_ino] * n)
     return EpochContext(
         tree=tree,
         pmap=pmap,

@@ -7,8 +7,11 @@ from repro.balancers import LunulePolicy, SingleMdsPolicy
 from repro.costmodel import CostParams
 from repro.fs import NearRootCache, SimConfig, run_simulation
 from repro.fs.filesystem import OrigamiFS
+from repro.namespace import NamespaceTree
+from repro.obs import Observability
 from repro.sim import SeedSequenceFactory
 from repro.workloads import generate_trace_rw, generate_trace_wi
+from repro.workloads.trace import TraceBuilder
 
 
 def make_world(seed=0, n_ops=8000, kind="rw"):
@@ -77,6 +80,32 @@ def test_namespace_mutations_applied():
     after = built.tree.num_files
     # every create lands unless raced; unlinks remove existing files
     assert after == before_files + n_creates - n_unlinks - r.failed_ops
+
+
+def test_ops_on_a_removed_directory_vanish():
+    """An RMDIR removes a directory that later ops target: each of them is
+    counted as vanished, none is lost, and its span says why."""
+    tree = NamespaceTree()
+    a = tree.makedirs("/a")
+    b = tree.create_dir(a, "b")
+    tb = TraceBuilder()
+    tb.stat(a, "x")
+    tb.rmdir(a, b)
+    for i in range(4):
+        tb.stat(b, f"f{i}")
+    tb.readdir(b)
+    tb.create(b, "g")
+    tb.stat(a, "y")
+    trace = tb.build()
+    obs = Observability(trace=True)
+    cfg = SimConfig(n_mds=2, n_clients=1, epoch_ms=50.0, obs=obs)
+    r = run_simulation(tree, trace, SingleMdsPolicy(), cfg)
+    assert not tree.is_alive(b)
+    assert r.vanished_ops == 6 and r.fault_failed_ops == 0
+    assert r.ops_completed + r.vanished_ops + r.fault_failed_ops == len(trace)
+    spans = sorted(obs.tracer.spans, key=lambda s: s.op_index)
+    assert [s.fault for s in spans] == [""] * 2 + ["vanished"] * 6 + [""]
+    assert [s.failed for s in spans] == [False] * 2 + [True] * 6 + [False]
 
 
 def test_datapath_transfers_for_file_ops():
@@ -148,18 +177,14 @@ def test_empty_trace_run():
 
 
 def test_migration_cost_charged():
-    built, trace = make_world(seed=8)
-    cfg = SimConfig(
-        n_mds=3, n_clients=20, epoch_ms=50.0, params=CostParams(cache_depth=2),
-        migration_cost_per_inode_ms=0.01,
-    )
-    r = run_simulation(built.tree, trace, LunulePolicy(), cfg)
-    built2, trace2 = make_world(seed=8)
-    cfg2 = SimConfig(
-        n_mds=3, n_clients=20, epoch_ms=50.0, params=CostParams(cache_depth=2),
-        migration_cost_per_inode_ms=0.0,
-    )
-    r2 = run_simulation(built2.tree, trace2, LunulePolicy(), cfg2)
+    def run(cost_per_inode_ms):
+        built, trace = make_world(seed=8)
+        cfg = SimConfig(n_mds=3, n_clients=20, epoch_ms=50.0, params=CostParams(cache_depth=2))
+        fs = OrigamiFS(built.tree, trace, LunulePolicy(), cfg)
+        fs.migrator.cost_per_inode_ms = cost_per_inode_ms
+        return fs.run()
+
+    r, r2 = run(0.01), run(0.0)
     if r.migrations and r2.migrations:
         # charged migrations consume server time: total busy goes up
         assert r.total_busy_per_mds().sum() > r2.total_busy_per_mds().sum()

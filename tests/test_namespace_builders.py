@@ -129,18 +129,14 @@ def test_access_stats_epoch_cycle():
     tree = built.tree
     stats = AccessStats(tree)
     a = tree.lookup("/d0_0")
-    stats.record_read(a, 3)
-    stats.record_write(a, 2)
-    stats.record_lsdir(a)
+    stats.charge([a] * 3, [a] * 2)
+    stats.charge_read(a)  # the client loop charges an lsdir as a read
     snap = stats.snapshot_and_reset()
-    assert snap.epoch == 0
-    assert snap.reads[a] == 4  # lsdir counts as a read
+    assert snap.reads[a] == 4
     assert snap.writes[a] == 2
-    assert snap.lsdirs[a] == 1
     assert snap.total_ops == 6
     # counters reset
     snap2 = stats.snapshot_and_reset()
-    assert snap2.epoch == 1
     assert snap2.total_ops == 0
 
 
@@ -150,7 +146,7 @@ def test_access_stats_grow_with_tree():
     stats = AccessStats(tree)
     for i in range(100):
         d = tree.create_dir(0, f"n{i}")
-        stats.record_read(d)
+        stats.charge_read(d)
     snap = stats.snapshot_and_reset()
     assert snap.reads.sum() == 100
 
@@ -165,15 +161,14 @@ def test_access_stats_growths_logarithmic():
     # reallocate ~n times, capacity doubling must stay O(log n)
     n = 4096
     for ino in range(n):
-        stats.record_read(ino)
+        stats.charge([ino])
     assert stats._reads.shape[0] >= n
     import math
 
     assert stats.growths <= math.ceil(math.log2(n / cap0)) + 1
-    # the client loop's buffered route flushes through the same doubling path
+    # a batch past the end grows once, through the same doubling path
     before = stats.growths
-    stats._buf_writes.extend(range(n, 4 * n))
-    stats._flush_buffers()
+    stats.charge(write_inos=range(n, 4 * n))
     assert stats._writes[2 * n] == 1
     assert stats.growths - before <= 3
 
@@ -190,17 +185,17 @@ def test_access_stats_snapshots_across_growths_keep_the_tail_zero():
         tree.create_many(np.zeros(k, dtype=np.int64), [f"e{epoch}_{i}" for i in range(k)],
                          np.ones(k, dtype=bool))
         cap = tree.capacity
-        want = {kind: np.zeros(cap, dtype=np.int64) for kind in ("reads", "writes", "lsdirs")}
+        want = {kind: np.zeros(cap, dtype=np.int64) for kind in ("reads", "writes")}
         for ino in rng.integers(0, cap, size=200).tolist():
-            kind = ("reads", "writes", "lsdirs")[ino % 3]
-            if ino % 2:
-                getattr(stats, f"record_{kind[:-1]}")(ino)
+            kind = ("reads", "writes")[ino % 2]
+            if ino % 3:  # queued, one call per op
+                (stats.charge_read if kind == "reads" else stats.charge_write)(ino)
+            elif kind == "reads":  # in bulk
+                stats.charge([ino])
             else:
-                getattr(stats, f"_buf_{kind}").append(ino)
+                stats.charge(write_inos=[ino])
             want[kind][ino] += 1
-        want["reads"] += want["lsdirs"]
         snap = stats.snapshot_and_reset()
-        assert snap.epoch == epoch
         for kind, counts in want.items():
             assert np.array_equal(getattr(snap, kind), counts), kind
             assert not getattr(stats, f"_{kind}").any(), kind
@@ -213,10 +208,10 @@ def test_access_stats_subtree_totals():
     stats = AccessStats(tree)
     leaf = tree.lookup("/d0_0/d1_0")
     mid = tree.lookup("/d0_0")
-    stats.record_read(leaf, 5)
-    stats.record_write(mid, 2)
-    totals = stats.subtree_totals()
-    assert totals["reads"][mid] == 5  # rolls up from the leaf
-    assert totals["writes"][mid] == 2
-    assert totals["reads"][0] == 5
-    assert totals["writes"][0] == 2
+    stats.charge([leaf] * 5, [mid] * 2)
+    snap = stats.snapshot_and_reset()
+    assert snap.dir_ops(tree.capacity)[mid] == 2
+    totals = snap.subtree_ops(tree)
+    assert totals[leaf] == 5
+    assert totals[mid] == 7  # rolls up from the leaf
+    assert totals[0] == 7

@@ -3,10 +3,10 @@
 :meth:`NamespaceTree._build_dfs` (one sort, then one numpy pass per depth
 level each way), :meth:`PartitionMap.uniform_subtree_mask` (a prefix count
 of ownership boundaries) and :meth:`PartitionMap.lsdir_owners` (cached on
-``dir_version`` when file inodes are colocated) must give what the earlier
-CSR-stack walk, sparse-table reduction and uncached set comprehension gave,
-on any tree and any partition.  The earlier code is kept here as the
-reference.
+``dir_version`` when file inodes are colocated, computed on every call
+under file placement) must give what the earlier CSR-stack walk,
+sparse-table reduction and uncached set comprehension gave, on any tree and
+any partition.  The earlier code is kept here as the reference.
 """
 
 import numpy as np
@@ -121,26 +121,6 @@ def fresh_lsdir_owners(pmap: PartitionMap, dir_ino: int) -> frozenset:
     return frozenset(others)
 
 
-class ReferenceLsdir:
-    """``lsdir_owners`` as it was: the set above, cached per directory on
-    ``(version, tree.version)`` under every placement."""
-
-    def __init__(self, pmap: PartitionMap):
-        self.pmap = pmap
-        self.cache = {}
-
-    def __call__(self, dir_ino: int) -> frozenset:
-        pmap = self.pmap
-        pmap.owner_array()  # sync first, as the method did
-        key = (pmap.version, pmap.tree.version)
-        hit = self.cache.get(dir_ino)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        result = fresh_lsdir_owners(pmap, dir_ino)
-        self.cache[dir_ino] = (key, result)
-        return result
-
-
 # ------------------------------------------------------- random states
 REGIMES = {
     "subtree": lambda tree, n_mds: PartitionMap(tree, n_mds),
@@ -185,7 +165,7 @@ def _mutate(rng, tree: NamespaceTree, pmap, step: int) -> None:
         pmap.assign_dir(d, int(rng.integers(pmap.n_mds)))
 
 
-def _assert_passes_match(tree: NamespaceTree, pmap: PartitionMap, reference: ReferenceLsdir) -> None:
+def _assert_passes_match(tree: NamespaceTree, pmap: PartitionMap) -> None:
     # built afresh: the tree's cached index outlives file creates, which
     # leave it shorter than the capacity
     got, want = tree._build_dfs(), reference_dfs(tree)
@@ -196,10 +176,7 @@ def _assert_passes_match(tree: NamespaceTree, pmap: PartitionMap, reference: Ref
     assert mask.dtype == bool
     assert np.array_equal(mask, reference_uniform_mask(pmap))
     for d in tree.iter_dirs():
-        got = pmap.lsdir_owners(d)
-        assert got == reference(d), d
-        if pmap.file_placement is None:
-            assert got == fresh_lsdir_owners(pmap, d), d
+        assert pmap.lsdir_owners(d) == fresh_lsdir_owners(pmap, d), d
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,18 +189,17 @@ def _assert_passes_match(tree: NamespaceTree, pmap: PartitionMap, reference: Ref
 )
 def test_passes_match_the_reference_on_random_states(seed, regime, n_mds, n_before, n_after):
     """Every pass agrees with its reference after every step of a random
-    sequence, so each lsdir cache entry meets every later mutation.  With
-    colocated file inodes the cached fan-out set also equals a fresh one."""
+    sequence, so each lsdir cache entry meets every later mutation and
+    every fan-out set equals one computed afresh."""
     rng = np.random.default_rng(seed)
     tree = NamespaceTree()
     for step in range(n_before):
         _mutate(rng, tree, None, step)
     pmap = REGIMES[regime](tree, n_mds)
-    reference = ReferenceLsdir(pmap)
-    _assert_passes_match(tree, pmap, reference)
+    _assert_passes_match(tree, pmap)
     for step in range(n_before, n_before + n_after):
         _mutate(rng, tree, pmap, step)
-        _assert_passes_match(tree, pmap, reference)
+        _assert_passes_match(tree, pmap)
 
 
 BUILDERS = {
@@ -238,12 +214,11 @@ def test_passes_match_the_reference_on_workload_trees(builder):
     """Deep, wide and heavy-tailed trees, with subtrees migrated at random."""
     tree = BUILDERS[builder](SeedSequenceFactory(5).stream("builder")).tree
     pmap = PartitionMap(tree, 4)
-    reference = ReferenceLsdir(pmap)
     rng = np.random.default_rng(5)
     dirs = list(tree.iter_dirs())
     for d in rng.choice(dirs, size=40):
         pmap.migrate_subtree(int(d), int(rng.integers(4)))
-    _assert_passes_match(tree, pmap, reference)
+    _assert_passes_match(tree, pmap)
 
 
 def test_dfs_of_a_root_only_tree():
@@ -305,7 +280,6 @@ def test_sharded_file_create_refreshes_the_cached_set():
     assert pmap.lsdir_owners(d) == {1, 2}
 
 
-@pytest.mark.xfail(strict=True, reason="the (version, tree.version) key does not see a file unlink")
 def test_sharded_file_unlink_refreshes_the_cached_set():
     tree, pmap, d, _ = _one_dir(file_placement=lambda pmap, parent, name: 2)
     f = tree.create_file(d, "f")

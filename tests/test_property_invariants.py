@@ -350,7 +350,7 @@ def test_span_identity_holds_under_faults(schedule, seed):
         if d["failed"]:
             assert d["fault"] in (
                 "vanished", "mds_down", "service_aborted", "rpc_timeout",
-                "rpc_dropped", "retries_exhausted",
+                "rpc_dropped",
             )
         else:
             assert d["fault"] == ""

@@ -27,8 +27,7 @@ def feature_world():
     tree = built.tree
     stats = AccessStats(tree)
     hot = tree.lookup("/src/mod001")
-    stats.record_read(hot, 40)
-    stats.record_write(tree.lookup("/build/mod001"), 25)
+    stats.charge([hot] * 40, [tree.lookup("/build/mod001")] * 25)
     snap = stats.snapshot_and_reset()
     return tree, snap, hot
 
@@ -105,9 +104,8 @@ def test_record_window_matches_categories():
     stats = AccessStats(tree)
     record_window(stats, tb.build())
     snap = stats.snapshot_and_reset()
-    assert snap.reads[a] == 2
+    assert snap.reads[a] == 2  # the stat and the lsdir
     assert snap.writes[a] == 1
-    assert snap.lsdirs[a] == 1
 
 
 def test_collect_training_data_produces_samples():
