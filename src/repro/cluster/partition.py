@@ -13,18 +13,22 @@ Two placement regimes share this one class:
   new directory independently; :meth:`assign_dir` applies it.
 
 ``dir_version`` increments whenever directory ownership may have changed:
-on every ownership change, and on a sync after a directory was created,
-removed or renamed.  File creates, unlinks and renames do not move it.  The
-client plan cache and the colocated lsdir cache key on it.
+on every ownership change, and on a sync after a directory was created or
+removed.  File creates and unlinks do not move it.  The client plan cache
+and the colocated lsdir cache key on it.
+
+Tree entries never move, so a parent's ino is smaller than its child's:
+the sync fills new inos in ino order and every parent is placed before its
+children.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.namespace.tree import ROOT_INO, NamespaceTree
+from repro.namespace.tree import _DIR, NamespaceTree
 
 __all__ = ["PartitionMap"]
 
@@ -98,7 +102,7 @@ class PartitionMap:
         if self._filled < cap:
             # fill new inos in ino order (parents always precede children)
             for ino in range(self._filled, cap):
-                if not tree._alive[ino] or tree._ftype[ino] != 0:
+                if not tree._alive[ino] or tree._ftype[ino] != _DIR:
                     continue
                 filled_dir = True
                 if self.placement is not None:
@@ -109,19 +113,7 @@ class PartitionMap:
             self._filled = cap
         if version_changed:
             # directory structure changed: clear owners of dead/non-dir inos
-            mask = tree.dir_mask()
-            view = self._owner[:cap]
-            view[~mask] = -1
-            # any live dir left unowned (e.g. re-created) inherits/places
-            missing = np.nonzero(mask & (view == -1))[0]
-            parents = tree.parent_array()
-            for ino in missing:
-                ino = int(ino)
-                if self.placement is not None:
-                    view[ino] = self.placement(self, int(parents[ino]), tree.name(ino))
-                else:
-                    po = view[int(parents[ino])]
-                    view[ino] = po if po >= 0 else 0
+            self._owner[:cap][~tree.dir_mask()] = -1
         self._tree_version = tree.version
         if version_changed or filled_dir:
             self.dir_version += 1
@@ -155,25 +147,6 @@ class PartitionMap:
         if self.placement is not None:
             return self.placement(self, parent_ino, name)
         return self.owner(parent_ino)
-
-    def is_boundary(self, dir_ino: int) -> bool:
-        """True iff ``dir_ino`` is owned differently from its parent (subtree root)."""
-        self._sync()
-        if dir_ino == ROOT_INO:
-            return False
-        return self._owner[dir_ino] != self._owner[self.tree.parent(dir_ino)]
-
-    def boundary_mask(self) -> np.ndarray:
-        """Boolean array indexed by ino: live dir whose owner differs from parent's."""
-        self._sync()
-        tree = self.tree
-        parents = tree.parent_array()
-        mask = tree.dir_mask()
-        out = np.zeros(tree.capacity, dtype=bool)
-        dirs = np.nonzero(mask)[0]
-        out[dirs] = self._owner[dirs] != self._owner[parents[dirs]]
-        out[ROOT_INO] = False
-        return out
 
     def uniform_subtree_mask(self) -> np.ndarray:
         """Boolean array indexed by ino: live directories whose subtree has a
@@ -280,11 +253,11 @@ class PartitionMap:
         Includes child directories always, and child file inodes when file
         placement shards them.  With colocated file inodes (``file_placement
         is None``) only child directories count, so the set is cached per
-        directory on ``dir_version``: every mkdir, rmdir, rename or ownership
-        change bumps it, while a file create does not, and lsdir-heavy traces
-        hit the same hot directories repeatedly.  Under file placement every
-        file create, unlink or rename can change the set, so it is computed
-        on every call.
+        directory on ``dir_version``: every mkdir, rmdir or ownership change
+        bumps it, while a file create does not, and lsdir-heavy traces hit
+        the same hot directories repeatedly.  Under file placement every file
+        create or unlink can change the set, so it is computed on every
+        call.
         """
         self._sync()
         tree = self.tree

@@ -9,7 +9,7 @@ than the trace itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -156,12 +156,6 @@ def evaluate_trace(
                 d = int(dir_ino[r])
                 if pmap.file_owner(d, trace.names[r]) != int(owner_arr[d]):
                     rct[r] += params.t_coor
-
-    # ---- queue delays (historical-sampling hook) ----
-    if params.queue_delay is not None:
-        q = np.asarray(params.queue_delay, dtype=np.float64)
-        q_u = np.array([sum(q[o] for o in owners) for owners in owners_u])
-        rct += q_u[inverse]
 
     # ---- per-MDS attribution ----
     primary = owner_arr[dir_ino]

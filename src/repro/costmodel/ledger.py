@@ -22,7 +22,7 @@ re-evaluation after really applying the migration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -179,9 +179,6 @@ class SubtreeLedger:
         delta_m = (~dst_in_prefix).astype(np.float64) - (~self.src_in_prefix).astype(np.float64)
 
         per_req_delta = delta_m * (params.t_inode + params.rtt + params.t_rpc)
-        if params.queue_delay is not None:
-            q = np.asarray(params.queue_delay, dtype=np.float64)
-            per_req_delta += q[dst] * (~dst_in_prefix) - q[src] * (~self.src_in_prefix)
         move_gain = self.cand_L + self.cand_N * per_req_delta
 
         # split-mutation (t_coor) delta for ops whose aux target is the root:
@@ -246,9 +243,6 @@ class SubtreeLedger:
         dst_in = bool((self.cand_prefix_bits[j] >> np.uint64(dst)) & np.uint64(1))
         delta_m = float(not dst_in) - float(not self.src_in_prefix[j])
         per_req = delta_m * (params.t_inode + params.rtt + params.t_rpc)
-        if params.queue_delay is not None:
-            q = np.asarray(params.queue_delay, dtype=np.float64)
-            per_req += q[dst] * (not dst_in) - q[src] * (not self.src_in_prefix[j])
         out = self.base.rct_per_mds.copy()
         out[src] -= self.cand_L[j]
         out[dst] += self.cand_L[j] + self.cand_N[j] * per_req

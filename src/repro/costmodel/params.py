@@ -16,13 +16,12 @@ paper measured:
 * a cross-MDS namespace mutation pays ``T_coor`` ≈ 20 inode reads — the
   distributed-transaction penalty that sinks F-Hash on write-heavy traces;
 * queueing is emergent in the DES; the analytic JCT uses the bin-packing
-  approximation of §3.2 (optionally seeded with sampled queue delays).
+  approximation of §3.2 and has no queue term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +53,6 @@ class CostParams:
     #: client-side near-root cache: directory entries with depth < this are
     #: cached (0 disables the cache)
     cache_depth: int = 0
-    #: optional per-MDS queue-delay estimates (ms per request), the
-    #: "historical sampling" hook of §3.2 footnote 1; None = ignore queueing
-    queue_delay: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for name in ("t_inode", "t_exec_read", "t_exec_lsdir", "t_exec_nsmut", "rtt", "t_rpc", "t_coor"):
@@ -83,10 +79,3 @@ class CostParams:
         return np.array(
             [self.t_exec_read, self.t_exec_lsdir, self.t_exec_nsmut], dtype=np.float64
         )
-
-    def with_cache(self, depth: int) -> "CostParams":
-        """Copy with the near-root cache set to ``depth``."""
-        return replace(self, cache_depth=depth)
-
-    def with_queue_delay(self, delays: Optional[np.ndarray]) -> "CostParams":
-        return replace(self, queue_delay=None if delays is None else np.asarray(delays, dtype=np.float64))

@@ -14,13 +14,14 @@ and the subtree ledger are tested against.  Conventions:
 * ``T_meta = T_inode * (m + k_eff) + T_exec + extra`` where ``k_eff`` is the
   uncached component count and ``m`` extra reads model the per-partition
   fake inodes.
-* ``RCT = T_meta + m * RTT + sum(Q_i)`` over the contacted MDSs.
+* ``RCT = T_meta + m * RTT``.  Eq. (1)'s queue term ``sum(Q_i)`` is the
+  queueing that arises in the DES; the analytic model has none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet
 
 from repro.cluster.partition import PartitionMap
 from repro.costmodel.optypes import (
@@ -111,8 +112,6 @@ def request_rct(
 
     t_meta = (params.t_inode + params.t_rpc) * m + params.t_inode * k_eff + params.t_exec(op) + extra
     rct = t_meta + m * params.rtt
-    if params.queue_delay is not None:
-        rct += float(sum(params.queue_delay[o] for o in owners))
     return RequestCost(
         rct=rct, t_meta=t_meta, m=m, k_eff=k_eff, extra=extra, owners=owners, primary=primary
     )

@@ -3,7 +3,9 @@
 Each worker is a closed-loop client thread: fetch the next operation from
 the shared cursor, resolve the path (consulting the near-root cache),
 contact each involved MDS in path order, apply the namespace mutation, then
-immediately fetch the next operation.  Fifty workers against five MDSs is
+immediately fetch the next operation.  A ``RENAME`` pays its Eq. (2) cost
+and moves nothing: tree entries never move (see
+:mod:`repro.namespace.tree`).  Fifty workers against five MDSs is
 the saturation setup of §5.2; one worker gives the single-thread latency
 measurement of Fig. 5b.
 
@@ -252,7 +254,7 @@ class ClientWorker:
                 if aux >= 0 and tree.is_alive(aux) and tree.is_dir(aux):
                     if not tree.children(aux):
                         tree.remove(aux)
-            # RENAME: cost-only (the traces rename entries in place)
+            # RENAME: cost only, tree entries never move
         except (FileExistsError, OSError, KeyError, NotADirectoryError, ValueError):
             # concurrent replay can race mutations; semantics stay best-effort
             fs.failed_ops += 1
@@ -304,7 +306,6 @@ class ClientWorker:
             datapath,
         ) = fs._client_shared
         TO = Timeout
-        my_rpcs = 0
         my_ops = 0
         last_now = 0.0
 
@@ -365,7 +366,6 @@ class ClientWorker:
                             span.cache_hits += n_hits
                             span.cache_misses += n_misses
                             span.primary = primary
-                        pserver.epoch_qps += 1
                         pserver.total_requests += 1
 
                         legs = steps
@@ -377,9 +377,7 @@ class ClientWorker:
                                         yield TO(env, hit[0])
                                         if hit[1] is not None:
                                             raise hit[1]
-                                server.epoch_rpcs += 1
                                 server.total_rpcs += 1
-                                my_rpcs += 1
                                 # network round trip to this MDS
                                 if span is not None:
                                     span.net_ms += rtt
@@ -443,7 +441,6 @@ class ClientWorker:
                                 partner = self._split_partner(op, dir_ino, name, aux)
                             if partner is not None:
                                 fs.servers[partner].count_rpc()
-                                my_rpcs += 1
                                 if span is not None:
                                     span.rpcs += 1
                                 # the coordination RTT is already inside T_coor
@@ -510,7 +507,6 @@ class ClientWorker:
             if datapath is not None and op in fs.DATA_OPS:
                 yield from datapath.transfer(fs, dir_ino)
 
-        fs.total_rpcs += my_rpcs
         fs.ops_completed += my_ops
         if last_now > fs.last_completion_ms:
             fs.last_completion_ms = last_now

@@ -55,8 +55,8 @@ class SimConfig:
     #: store inodes in per-MDS LSM stores and move them on migration
     use_kvstore: bool = False
     #: client cache design: "near-root" (the paper's, driven by
-    #: params.cache_depth), "lease" (full TTL-lease cache — the alternative
-    #: the paper rejects; DES-only), or "none"
+    #: params.cache_depth; ``cache_depth=0`` turns it off) or "lease" (full
+    #: TTL-lease cache — the alternative the paper rejects; DES-only)
     cache_mode: str = "near-root"
     lease_recall_cost_ms: float = 0.05
     #: how many upcoming ops the oracle policy may see
@@ -88,7 +88,7 @@ class SimConfig:
             self.autoscale.validate(self.n_mds)
         if self.epoch_ms <= 0:
             raise ValueError("epoch_ms must be positive")
-        if self.cache_mode not in ("near-root", "lease", "none"):
+        if self.cache_mode not in ("near-root", "lease"):
             raise ValueError(f"unknown cache_mode {self.cache_mode!r}")
         if self.data_dir is not None:
             self.use_kvstore = True
@@ -199,8 +199,6 @@ class OrigamiFS:
             self.cache = LeaseCache(
                 tree, recall_cost_ms=self.config.lease_recall_cost_ms
             )
-        elif self.config.cache_mode == "none":
-            self.cache = NearRootCache(tree, 0)
         else:
             self.cache = NearRootCache(tree, self.params.cache_depth)
         self.stats = AccessStats(tree)
@@ -332,7 +330,13 @@ class OrigamiFS:
         # duration = when the last operation completed (the driver's cancelled
         # epoch timeout may have dragged env.now further; ignore it)
         duration = self.last_completion_ms
-        if any(s.epoch_busy_ms > 0 or s.epoch_qps > 0 for s in self.servers):
+        # the servers count this run's RPCs; a resumed run adds them to the
+        # checkpointed total
+        self.total_rpcs += sum(s.total_rpcs for s in self.servers)
+        if any(
+            s.epoch_busy_ms > 0 or s.total_requests > s.drained_requests
+            for s in self.servers
+        ):
             driver.flush_epoch()
         if self.config.data_dir is not None:
             # clean shutdown: sync WAL tails and release file handles before

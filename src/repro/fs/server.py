@@ -4,13 +4,14 @@ Each MDS is a single-server queue (capacity 1 — one metadata thread, the
 saturation regime of §5.2); queueing delay is emergent, which is what makes
 the DES results exhibit Eq. (1)'s ``Q_i`` term without modelling it.
 
-Busy time, RPC counts, and request counts accumulate per epoch and are
-drained by the epoch driver into :class:`~repro.fs.metrics.EpochMetrics`;
-run-scoped totals accumulate beside them.  When observability is on,
-:meth:`~repro.obs.Observability.finalize` publishes the totals into the
-metrics registry (labelled by MDS id) once the run ends, and :meth:`service`
-decomposes each visit into queue wait vs. service time on the caller's
-:class:`~repro.obs.tracing.Span`.
+Busy time, RPC counts and request counts accumulate as run totals, and
+:meth:`drain_epoch` returns each epoch's share for
+:class:`~repro.fs.metrics.EpochMetrics`.  Busy time also keeps a sum of its
+own per epoch, so an epoch's float total does not depend on earlier epochs.
+When observability is on, :meth:`~repro.obs.Observability.finalize`
+publishes the totals into the metrics registry (labelled by MDS id) once
+the run ends, and :meth:`service` decomposes each visit into queue wait vs.
+service time on the caller's :class:`~repro.obs.tracing.Span`.
 
 Crash semantics (active only when a :class:`~repro.fs.faults.FaultInjector`
 is attached): a crashed server aborts the request it was servicing, drains
@@ -73,14 +74,16 @@ class MdsServer:
             )
         else:
             self.store = LSMStore(memtable_limit=512)
-        # epoch-scoped counters (drained by the driver)
+        # busy time this epoch (reset by drain_epoch)
         self.epoch_busy_ms = 0.0
-        self.epoch_rpcs = 0
-        self.epoch_qps = 0
         # run-scoped totals
         self.total_busy_ms = 0.0
         self.total_rpcs = 0
         self.total_requests = 0
+        #: the count totals at the last drain (an epoch's counts are the
+        #: growth since)
+        self.drained_rpcs = 0
+        self.drained_requests = 0
         #: cumulative modeled durable-write cost (never reset by drains)
         self.durability_ms_total = 0.0
         # live histogram children (no-op singletons when the registry is
@@ -142,7 +145,6 @@ class MdsServer:
         return rec_ms
 
     def count_rpc(self, n: int = 1) -> None:
-        self.epoch_rpcs += n
         self.total_rpcs += n
 
     def service(self, duration_ms: float, span=None) -> Generator:
@@ -228,11 +230,15 @@ class MdsServer:
             raise MdsCrashedError(self.mds_id)
 
     def drain_epoch(self) -> tuple:
-        """Return and reset this epoch's (busy, rpcs, qps)."""
-        out = (self.epoch_busy_ms, self.epoch_rpcs, self.epoch_qps)
+        """Return this epoch's (busy, rpcs, qps) and start the next epoch."""
+        out = (
+            self.epoch_busy_ms,
+            self.total_rpcs - self.drained_rpcs,
+            self.total_requests - self.drained_requests,
+        )
         self.epoch_busy_ms = 0.0
-        self.epoch_rpcs = 0
-        self.epoch_qps = 0
+        self.drained_rpcs = self.total_rpcs
+        self.drained_requests = self.total_requests
         return out
 
     # ------------------------------------------------------------- kv store

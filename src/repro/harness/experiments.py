@@ -785,23 +785,25 @@ def ablation_cache_design(scale: Optional[ExperimentScale] = None, seed: int = 4
     # a realistic recall must reach every client holding the lease — price it
     # as one RPC handling per client, versus the optimistic single-RPC recall
     bcast_cost = params.t_rpc * scale.n_clients
+    # (row, cache design, cost params, extra SimConfig fields); "none" is
+    # the near-root design with nothing cached
     variants = (
-        ("none", {}),
-        ("near-root", {}),
-        ("lease", {}),
-        ("lease-bcast", {"lease_recall_cost_ms": bcast_cost}),
+        ("none", "near-root", default_params(0), {}),
+        ("near-root", "near-root", params, {}),
+        ("lease", "lease", params, {}),
+        ("lease-bcast", "lease", params, {"lease_recall_cost_ms": bcast_cost}),
     )
     for kind, label in (("ro", "Trace-RO"), ("wi", "Trace-WI")):
         data[kind] = {}
-        for mode, extra in variants:
+        for mode, design, mode_params, extra in variants:
             built, trace = build_workload(kind, scale.n_ops, seed, tree_scale=scale.tree_scale)
             config = SimConfig(
                 n_mds=5,
                 n_clients=scale.n_clients,
                 epoch_ms=scale.epoch_ms,
-                params=params,
+                params=mode_params,
                 seed=seed,
-                cache_mode="lease" if mode.startswith("lease") else mode,
+                cache_mode=design,
                 **extra,
             )
             from repro.fs.filesystem import OrigamiFS

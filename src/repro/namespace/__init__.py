@@ -18,20 +18,11 @@ Key pieces:
   rollups (the Data Collector's raw material, Table 1 features).
 """
 
-from repro.namespace.inode import FileType, Inode
-from repro.namespace.path import basename, components, dirname, join, normalize
 from repro.namespace.stats import AccessStats
 from repro.namespace.tree import ROOT_INO, NamespaceTree
 
 __all__ = [
-    "FileType",
-    "Inode",
     "NamespaceTree",
     "ROOT_INO",
     "AccessStats",
-    "components",
-    "normalize",
-    "join",
-    "basename",
-    "dirname",
 ]

@@ -14,9 +14,13 @@ capacity; ``capacity`` is the logical size, the physical allocation is
   vectorised prefix-sum — the hot path of both the Meta-OPT ledger and the
   Table-1 feature extractor.
 
-Structural directory mutations (mkdir / rmdir / rename of a directory)
-invalidate the cached index; file creation only touches per-directory
-counters, so replaying file-heavy traces does not thrash the index.
+Entries never move once created: the tree offers create and remove, not
+rename, so every entry's parent has a smaller ino than the entry itself
+(:meth:`NamespaceTree.from_columns`, the partition map's sync and the
+checkpoint codec rely on it).  Structural directory mutations (mkdir /
+rmdir) invalidate the cached index; file creation only touches
+per-directory counters, so replaying file-heavy traces does not thrash the
+index.
 
 Scalar accessors return plain Python ints/bools (numpy scalars would leak
 into JSON exports and hash-placement arithmetic); bulk views return
@@ -30,20 +34,30 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.namespace.inode import FileType, Inode
-from repro.namespace.path import components
-
 __all__ = ["NamespaceTree", "DfsIndex", "ROOT_INO"]
 
 ROOT_INO = 0
 
-#: plain-int directory tag — the IntEnum→int conversion is measurable on the
-#: per-op accessor hot path (hundreds of thousands of calls per run)
-_DIR = int(FileType.DIRECTORY)
-_REGULAR = int(FileType.REGULAR)
+#: the ``ftype`` column's two tags, plain ints (the per-op accessors compare
+#: against them hundreds of thousands of times per run)
+_DIR = 0
+_REGULAR = 1
 
 #: initial physical capacity of the per-ino arrays
 _INITIAL_CAP = 1024
+
+
+def _components(path: str) -> List[str]:
+    """A slash path's non-empty, non-``.`` segments; ``..`` is rejected
+    (paths resolve top-down and never refer back to a parent)."""
+    out: List[str] = []
+    for seg in path.split("/"):
+        if seg in ("", "."):
+            continue
+        if seg == "..":
+            raise ValueError(f"parent references not allowed: {path!r}")
+        out.append(seg)
+    return out
 
 
 class DfsIndex:
@@ -180,18 +194,6 @@ class NamespaceTree:
     def children(self, ino: int) -> Dict[str, int]:
         self._check_dir(ino)
         return self._children[ino]  # type: ignore[return-value]
-
-    def inode(self, ino: int) -> Inode:
-        """Materialise an :class:`Inode` view of ``ino``."""
-        self._check(ino)
-        return Inode(
-            ino=ino,
-            parent=int(self._parent[ino]),
-            name=self._name[ino],
-            ftype=FileType(int(self._ftype[ino])),
-            depth=int(self._depth[ino]),
-            size=int(self._size[ino]),
-        )
 
     def _check_dir(self, ino: int) -> None:
         self._check(ino)
@@ -396,20 +398,21 @@ class NamespaceTree:
         }
 
     @classmethod
-    def from_columns(cls, parent, names, ftype, alive, size) -> "NamespaceTree":
-        """Rebuild a tree from :meth:`columns` with the same ino numbering.
+    def from_columns(cls, parent, name, ftype, alive, size) -> "NamespaceTree":
+        """Rebuild a tree from :meth:`columns` (``from_columns(**columns)``)
+        with the same ino numbering.
 
         Every ino is created in order with one :meth:`create_many` call, so
-        a parent must precede its children (true of any tree built without
-        :meth:`rename`); dead inos are then removed, deepest first, and get
-        their names back.  Columns that describe no such tree raise
+        a parent must precede its children (true of every tree, whose
+        entries never move); dead inos are then removed, deepest first, and
+        get their names back.  Columns that describe no such tree raise
         ``ValueError``.
         """
         parent = np.asarray(parent, dtype=np.int64)
         ftype = np.asarray(ftype, dtype=np.int8)
         alive = np.asarray(alive, dtype=bool)
         size = np.asarray(size, dtype=np.int64)
-        names = list(names)
+        names = list(name)
         n = len(names)
         if not parent.shape == ftype.shape == alive.shape == size.shape == (n,):
             raise ValueError("tree columns must be 1-D and of equal length")
@@ -436,7 +439,7 @@ class NamespaceTree:
     def makedirs(self, path: str) -> int:
         """Create every missing directory along ``path``; returns the leaf ino."""
         cur = ROOT_INO
-        for seg in components(path):
+        for seg in _components(path):
             kids = self._children[cur]
             assert kids is not None
             nxt = kids.get(seg)
@@ -472,51 +475,6 @@ class NamespaceTree:
             self._n_child_files[parent] -= 1
             self._num_files -= 1
 
-    def rename(self, ino: int, new_parent: int, new_name: str) -> None:
-        """Move/rename an entry; rejects moving a directory under itself."""
-        self._check(ino)
-        self._check_dir(new_parent)
-        if ino == ROOT_INO:
-            raise ValueError("cannot rename the root")
-        if self._ftype[ino] == _DIR:
-            # cycle check: walk new_parent's ancestors
-            cur = new_parent
-            while cur != ROOT_INO:
-                if cur == ino:
-                    raise ValueError("cannot move a directory into its own subtree")
-                cur = int(self._parent[cur])
-            if new_parent == ino:
-                raise ValueError("cannot move a directory into itself")
-        dest_kids = self._children[new_parent]
-        assert dest_kids is not None
-        if new_name in dest_kids:
-            raise FileExistsError(f"{self.path_of(new_parent)}/{new_name} already exists")
-        old_parent = int(self._parent[ino])
-        src_kids = self._children[old_parent]
-        assert src_kids is not None
-        del src_kids[self._name[ino]]
-        dest_kids[new_name] = ino
-        self._parent[ino] = new_parent
-        self._name[ino] = sys.intern(new_name)
-        if self._ftype[ino] == _DIR:
-            self._n_child_dirs[old_parent] -= 1
-            self._n_child_dirs[new_parent] += 1
-            self._refresh_depths(ino)
-            self._invalidate()
-        else:
-            self._n_child_files[old_parent] -= 1
-            self._n_child_files[new_parent] += 1
-            self._depth[ino] = self._depth[new_parent] + 1
-
-    def _refresh_depths(self, root: int) -> None:
-        stack = [root]
-        while stack:
-            ino = stack.pop()
-            self._depth[ino] = self._depth[self._parent[ino]] + 1
-            kids = self._children[ino]
-            if kids:
-                stack.extend(kids.values())
-
     def _invalidate(self) -> None:
         self._dfs_cache = None
         self.version += 1
@@ -525,7 +483,7 @@ class NamespaceTree:
     def lookup(self, path: str) -> int:
         """Resolve ``path`` to an ino; KeyError if any component is missing."""
         cur = ROOT_INO
-        for seg in components(path):
+        for seg in _components(path):
             if self._ftype[cur] != _DIR:
                 raise NotADirectoryError(f"{seg} under a file in {path!r}")
             kids = self._children[cur]
@@ -535,12 +493,6 @@ class NamespaceTree:
             except KeyError:
                 raise KeyError(f"{path!r}: component {seg!r} not found") from None
         return cur
-
-    def try_lookup(self, path: str) -> Optional[int]:
-        try:
-            return self.lookup(path)
-        except (KeyError, NotADirectoryError):
-            return None
 
     def resolve(self, ino: int) -> List[int]:
         """Ancestor chain root → ``ino`` inclusive (the path-resolution walk)."""
@@ -566,16 +518,6 @@ class NamespaceTree:
             parts.append(self._name[cur])
             cur = int(self._parent[cur])
         return "/" + "/".join(reversed(parts))
-
-    def ancestors(self, ino: int) -> Iterator[int]:
-        """Yield proper ancestors of ``ino``, nearest first, ending at root."""
-        self._check(ino)
-        cur = int(self._parent[ino])
-        while True:
-            yield cur
-            if cur == ROOT_INO:
-                return
-            cur = int(self._parent[cur])
 
     def iter_dirs(self) -> Iterator[int]:
         """All live directory inos (ascending ino order)."""

@@ -69,31 +69,21 @@ class Observability:
         metrics: bool = False,
         trace_path: Optional[str] = None,
         trace: bool = False,
-        trace_max_spans: Optional[int] = None,
         trace_sample: int = 1,
         audit: bool = False,
         timeline: bool = False,
         timeline_window_ms: float = 50.0,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
-        timeline_collector: Optional[TimelineCollector] = None,
     ):
-        if registry is not None:
-            self.registry = registry
-        else:
-            self.registry = MetricsRegistry(enabled=True) if metrics else NULL_REGISTRY
+        self.registry = MetricsRegistry(enabled=True) if metrics else NULL_REGISTRY
         if tracer is not None:
             self.tracer = tracer
         elif trace or trace_path is not None:
-            self.tracer = JsonlTracer(
-                trace_path, max_spans=trace_max_spans, sample=trace_sample
-            )
+            self.tracer = JsonlTracer(trace_path, sample=trace_sample)
         else:
             self.tracer = NULL_TRACER
         self.audit: Optional[BalancerAudit] = BalancerAudit() if audit else None
-        if timeline_collector is not None:
-            self.timeline = timeline_collector
-        elif timeline:
+        if timeline:
             self.timeline = TimelineCollector(window_ms=timeline_window_ms)
         else:
             self.timeline = NULL_TIMELINE

@@ -163,8 +163,7 @@ class JsonlTracer(Tracer):
     """Tracer streaming each finished span as one JSON line.
 
     ``path=None`` keeps spans in memory only (tests, ``repro report`` on a
-    live run).  ``max_spans`` bounds memory/disk for very long runs; spans
-    past the cap are counted in ``dropped`` rather than silently vanishing.
+    live run).
 
     ``sample=N`` keeps every Nth finished span (ordinals 0, N, 2N, ...),
     deterministic by span *finish ordinal* — no RNG, so a sampled run stays
@@ -175,7 +174,6 @@ class JsonlTracer(Tracer):
     def __init__(
         self,
         path: Optional[str] = None,
-        max_spans: Optional[int] = None,
         retain: Optional[bool] = None,
         sample: int = 1,
     ):
@@ -183,11 +181,9 @@ class JsonlTracer(Tracer):
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         self.path = path
-        self.max_spans = max_spans
         self.sample = int(sample)
         self.retain = retain if retain is not None else path is None
         self._fh: Optional[IO[str]] = open(path, "w") if path else None
-        self._written = 0
         self._ordinal = 0
 
     def finish(self, span: Span, now_ms: float) -> None:
@@ -197,10 +193,6 @@ class JsonlTracer(Tracer):
         if ordinal % self.sample:
             self.dropped += 1
             return
-        if self.max_spans is not None and self._written >= self.max_spans:
-            self.dropped += 1
-            return
-        self._written += 1
         if self._fh is not None:
             self._fh.write(json.dumps(span.to_dict()))
             self._fh.write("\n")

@@ -12,14 +12,56 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.namespace.builder import BuiltNamespace, build_cloud_tree
 from repro.sim.rng import RngStream
 from repro.workloads.trace import Trace, TraceBuilder
 from repro.workloads.zipfian import DriftingZipf
 
 __all__ = ["generate_trace_wi"]
+
+
+def _emit_tenant_burst(
+    tb: TraceBuilder,
+    rng: RngStream,
+    shard: int,
+    created: Dict[int, List[str]],
+    uid: int,
+    burst: int,
+    write_fraction: float,
+    shared_root: int,
+    shared_files: List[str],
+    readdir_below: float = 0.3,
+    stat_below: float = 0.8,
+) -> int:
+    """Emit one tenant burst into ``shard``; returns the advanced uid.
+
+    Each op is a write with probability ``write_fraction`` (a create, or
+    15% of the time an unlink of the shard's newest object); a read draws
+    ``sub`` and is a readdir of the shard below ``readdir_below``, a stat of
+    one of its objects below ``stat_below``, else an open of a shared file.
+    """
+    for _ in range(burst):
+        if rng.random() < write_fraction:
+            names = created.get(shard)
+            if rng.random() < 0.85 or not names:
+                name = f"obj_{uid:08d}"
+                uid += 1
+                tb.create(shard, name)
+                created.setdefault(shard, []).append(name)
+            else:
+                # churn: delete a recently written object
+                tb.unlink(shard, names.pop())
+        else:
+            sub = rng.random()
+            if sub < readdir_below:
+                tb.readdir(shard)
+            elif sub < stat_below and created.get(shard):
+                names = created[shard]
+                tb.stat(shard, names[int(rng.integers(0, len(names)))])
+            else:
+                name = shared_files[int(rng.integers(0, len(shared_files)))]
+                tb.open(shared_root, name)
+    return uid
 
 
 def generate_trace_wi(
@@ -58,29 +100,11 @@ def generate_trace_wi(
             todays = tenant_shards[t][day * 4 : day * 4 + 4]
             shard = int(todays[int(rng.integers(0, len(todays)))])
             burst = min(budget, max(1, int(rng.exponential(burst_mean))))
-            for _ in range(burst):
-                roll = rng.random()
-                if roll < write_fraction:
-                    sub = rng.random()
-                    names = created.get(shard)
-                    if sub < 0.85 or not names:
-                        name = f"obj_{uid:08d}"
-                        uid += 1
-                        tb.create(shard, name)
-                        created.setdefault(shard, []).append(name)
-                    else:
-                        # churn: delete a recently written object
-                        tb.unlink(shard, names.pop())
-                else:
-                    sub = rng.random()
-                    if sub < 0.25:
-                        tb.readdir(shard)
-                    elif sub < 0.75 and created.get(shard):
-                        names = created[shard]
-                        tb.stat(shard, names[int(rng.integers(0, len(names)))])
-                    else:
-                        name = shared_files[int(rng.integers(0, len(shared_files)))]
-                        tb.open(shared_root, name)
+            uid = _emit_tenant_burst(
+                tb, rng, shard, created, uid, burst,
+                write_fraction, shared_root, shared_files,
+                readdir_below=0.25, stat_below=0.75,
+            )
             budget -= burst
         tenants.advance()
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Tuple
 
 from repro.namespace.builder import BuiltNamespace, build_cloud_tree
 from repro.sim.rng import RngStream
+from repro.workloads.cloud_wi import _emit_tenant_burst
 from repro.workloads.trace import Trace, TraceBuilder
 from repro.workloads.zipfian import DriftingZipf
 
@@ -35,41 +36,6 @@ __all__ = [
     "generate_trace_flash",
     "generate_trace_onboard",
 ]
-
-
-def _emit_tenant_burst(
-    tb: TraceBuilder,
-    rng: RngStream,
-    shard: int,
-    created: Dict[int, List[str]],
-    uid: int,
-    burst: int,
-    write_fraction: float,
-    shared_root: int,
-    shared_files: List[str],
-) -> int:
-    """Emit one tenant burst into ``shard``; returns the advanced uid."""
-    for _ in range(burst):
-        if rng.random() < write_fraction:
-            names = created.get(shard)
-            if rng.random() < 0.85 or not names:
-                name = f"obj_{uid:08d}"
-                uid += 1
-                tb.create(shard, name)
-                created.setdefault(shard, []).append(name)
-            else:
-                tb.unlink(shard, names.pop())
-        else:
-            sub = rng.random()
-            if sub < 0.3:
-                tb.readdir(shard)
-            elif sub < 0.8 and created.get(shard):
-                names = created[shard]
-                tb.stat(shard, names[int(rng.integers(0, len(names)))])
-            else:
-                name = shared_files[int(rng.integers(0, len(shared_files)))]
-                tb.open(shared_root, name)
-    return uid
 
 
 def generate_trace_diurnal(

@@ -49,18 +49,6 @@ def test_migrate_subtree_moves_all_descendants(setup):
     assert pmap.owner(tree.lookup("/d0_0")) == 0
 
 
-def test_boundary_detection(setup):
-    tree, pmap = setup
-    a = tree.lookup("/d0_1")
-    b = tree.lookup("/d0_1/d1_0")
-    pmap.migrate_subtree(a, 1)
-    assert pmap.is_boundary(a)
-    assert not pmap.is_boundary(b)  # same owner as parent
-    assert not pmap.is_boundary(ROOT_INO)
-    mask = pmap.boundary_mask()
-    assert mask[a] and not mask[b]
-
-
 def test_uniform_subtree_mask(setup):
     tree, pmap = setup
     a = tree.lookup("/d0_0")

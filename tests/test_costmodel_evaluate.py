@@ -45,8 +45,7 @@ def scatter_partition(rng, tree, pmap, n_moves=8):
 
 
 @pytest.mark.parametrize("cache_depth", [0, 2, 4])
-@pytest.mark.parametrize("with_queue", [False, True])
-def test_evaluate_matches_scalar_reference(cache_depth, with_queue):
+def test_evaluate_matches_scalar_reference(cache_depth):
     ssf = SeedSequenceFactory(11)
     rng = ssf.stream("t")
     built = build_random(rng, n_dirs=60, files_per_dir_mean=2)
@@ -54,8 +53,6 @@ def test_evaluate_matches_scalar_reference(cache_depth, with_queue):
     pmap = PartitionMap(tree, n_mds=4)
     scatter_partition(rng, tree, pmap)
     params = CostParams(cache_depth=cache_depth)
-    if with_queue:
-        params = params.with_queue_delay(np.array([0.1, 0.5, 0.0, 0.9]))
     trace = random_trace(rng, tree)
 
     load = evaluate_trace(trace, tree, pmap, params, collect_per_request=True)

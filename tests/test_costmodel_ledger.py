@@ -48,24 +48,6 @@ def test_ledger_matches_real_migration(seed, cache_depth):
             )
 
 
-@pytest.mark.parametrize("seed", [5, 6])
-def test_ledger_with_queue_delays(seed):
-    rng, tree, pmap, trace, params = make_world(seed)
-    params = params.with_queue_delay(np.array([0.2, 0.0, 0.7, 0.4]))
-    ledger = SubtreeLedger(trace, tree, pmap, params)
-    cands = ledger.candidates
-    picks = rng.integers(0, cands.size, size=min(10, cands.size))
-    for pi in picks:
-        s = int(cands[int(pi)])
-        src = pmap.owner(s)
-        dst = (src + 1) % pmap.n_mds
-        predicted = ledger.predicted_loads(s, dst)
-        what_if = pmap.copy()
-        what_if.migrate_subtree(s, dst)
-        actual = evaluate_trace(trace, tree, what_if, params).rct_per_mds
-        np.testing.assert_allclose(predicted, actual, rtol=1e-9, atol=1e-9)
-
-
 def test_evaluate_dst_benefit_agrees_with_predicted_loads():
     rng, tree, pmap, trace, params = make_world(9)
     ledger = SubtreeLedger(trace, tree, pmap, params)

@@ -90,7 +90,11 @@ def test_colocating_subtree_with_parent_never_raises_total_cost(w):
     tree, pmap, trace = w
     params = CostParams()
     before = evaluate_trace(trace, tree, pmap, params).rct_per_mds.sum()
-    boundary = np.nonzero(pmap.boundary_mask())[0]
+    # live directories owned differently from their parent
+    owners = pmap.owner_array()
+    boundary = np.flatnonzero(
+        tree.dir_mask() & (owners != owners[tree.parent_array()])
+    )
     if boundary.size == 0:
         return
     s = int(boundary[0])

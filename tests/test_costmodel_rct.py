@@ -1,6 +1,5 @@
 """Unit tests for the per-request RCT decomposition (Eq. 1 / Eq. 2)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import PartitionMap
@@ -71,7 +70,7 @@ def test_near_root_cache_hides_shallow_dirs(world):
     c = tree.lookup("/a/b/c")
     pmap.migrate_subtree(b, 1)
     pmap.migrate_subtree(c, 2)
-    cached = params.with_cache(3)  # depth <3 cached: a(1), b(2) hidden
+    cached = CostParams(cache_depth=3)  # depth <3 cached: a(1), b(2) hidden
     rc = request_rct(tree, pmap, cached, OpType.STAT, c, "f")
     assert rc.owners == frozenset({2})
     assert rc.m == 1
@@ -88,7 +87,7 @@ def test_cache_never_hides_target_owner(world):
     tree, pmap, params = world
     a = tree.lookup("/a")
     pmap.migrate_subtree(a, 1)
-    deep_cache = params.with_cache(10)
+    deep_cache = CostParams(cache_depth=10)
     rc = request_rct(tree, pmap, deep_cache, OpType.STAT, a, "sub")
     assert rc.m == 1
     assert rc.owners == frozenset({1})
@@ -135,16 +134,6 @@ def test_mkdir_split_under_hash_placement(world):
     # a was created before this pmap: initial_owner=0
     rc = request_rct(tree, pmap, params, OpType.MKDIR, a, "newdir")
     assert rc.extra == pytest.approx(params.t_coor)
-
-
-def test_queue_delay_added_for_contacted_mds(world):
-    tree, pmap, params = world
-    b = tree.lookup("/a/b")
-    pmap.migrate_subtree(b, 1)
-    qp = params.with_queue_delay(np.array([0.5, 2.0, 0.0]))
-    rc = request_rct(tree, pmap, qp, OpType.STAT, b, "x")
-    base = request_rct(tree, pmap, params, OpType.STAT, b, "x")
-    assert rc.rct == pytest.approx(base.rct + 0.5 + 2.0)
 
 
 def test_params_validation():

@@ -14,7 +14,7 @@ from repro.durability import CHECKPOINT_SCHEMA_VERSION, Checkpointer, SimCheckpo
 from repro.durability.errors import CheckpointError
 from repro.fs.filesystem import OrigamiFS, SimConfig
 from repro.harness.experiments import build_workload
-from repro.namespace.inode import FileType
+from repro.namespace.tree import _DIR
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -186,7 +186,7 @@ def _malformed_tree(tree: dict, how: str) -> dict:
     """A copy of a checkpoint's tree payload, broken one way."""
     t = copy.deepcopy(tree)
     live = [i for i in range(1, len(t["parent"])) if t["alive"][i]]
-    dirs = [i for i in live if t["ftype"][i] == int(FileType.DIRECTORY)]
+    dirs = [i for i in live if t["ftype"][i] == _DIR]
     if how == "short column":
         t["alive"].pop()
     elif how == "parent past the end":

@@ -39,14 +39,16 @@ def test_lease_cache_validation():
         LeaseCache(tree, recall_cost_ms=-1)
     with pytest.raises(ValueError):
         SimConfig(cache_mode="bogus")
+    with pytest.raises(ValueError):  # no cache is cache_depth=0
+        SimConfig(cache_mode="none")
 
 
-def run_mode(kind, mode, seed=9, n_ops=20000):
+def run_mode(kind, mode, seed=9, n_ops=20000, cache_depth=2):
     gen = generate_trace_ro if kind == "ro" else generate_trace_wi
     built, trace = gen(SeedSequenceFactory(seed).stream("w"), n_ops=n_ops)
     cfg = SimConfig(
         n_mds=4, n_clients=80, epoch_ms=80.0,
-        params=CostParams(cache_depth=2), cache_mode=mode,
+        params=CostParams(cache_depth=cache_depth), cache_mode=mode,
     )
     fs = OrigamiFS(built.tree, trace, CoarseHashPolicy(), cfg)
     return fs, fs.run()
@@ -66,13 +68,15 @@ def test_lease_cache_pays_for_writes():
     fs_lease, lease = run_mode("wi", "lease")
     assert fs_lease.cache.recalls > 0
     # consistency work is real server busy time
-    _, none_run = run_mode("wi", "none")
+    _, none_run = run_mode("wi", "near-root", cache_depth=0)
     assert lease.ops_completed == none_run.ops_completed
 
 
 def test_cache_mode_none_disables_coverage():
-    fs, r = run_mode("ro", "none", n_ops=5000)
+    """No client cache is the near-root design with ``cache_depth=0``."""
+    fs, r = run_mode("ro", "near-root", n_ops=5000, cache_depth=0)
     assert r.cache_hit_rate == 0.0
+    assert not any(fs.cache_covers_depth(depth) for depth in range(8))
 
 
 def _crash_config(obs=None):

@@ -1,4 +1,4 @@
-"""Tests for namespace builders, access stats, and path utilities."""
+"""Tests for namespace builders, access stats, and path parsing."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from repro.namespace.builder import (
     build_software_project,
     build_web_tree,
 )
-from repro.namespace.inode import FileType, Inode
-from repro.namespace.path import basename, components, dirname, join, normalize, split
 from repro.sim import SeedSequenceFactory
 
 
@@ -23,42 +21,14 @@ def stream(seed=0):
 # -------------------------------------------------------------------- paths
 
 
-def test_normalize():
-    assert normalize("/a/b/") == "/a/b"
-    assert normalize("a//b/./c") == "/a/b/c"
-    assert normalize("/") == "/"
-    assert normalize("") == "/"
-
-
 def test_components_rejects_parent_refs():
-    assert components("/a/b") == ["a", "b"]
+    tree = NamespaceTree()
+    b = tree.makedirs("/a/b")
+    assert tree.lookup("/a/b") == tree.lookup("a//./b/") == b
     with pytest.raises(ValueError):
-        components("/a/../b")
-
-
-def test_join_split_basename_dirname():
-    assert join("a", "b/c") == "/a/b/c"
-    assert split("/a/b/c") == ("/a/b", "c")
-    assert split("/x") == ("/", "x")
-    assert split("/") == ("/", "")
-    assert basename("/a/b") == "b"
-    assert dirname("/a/b") == "/a"
-
-
-# -------------------------------------------------------------------- inode
-
-
-def test_inode_encode_decode_roundtrip():
-    ino = Inode(ino=5, parent=2, name="file.txt", ftype=FileType.REGULAR, depth=3, size=42)
-    again = Inode.decode(ino.encode())
-    assert again == ino
-    assert not again.is_dir
-    assert ino.key() == b"%020d/file.txt" % 2
-
-
-def test_inode_decode_rejects_garbage():
+        tree.lookup("/a/../b")
     with pytest.raises(ValueError):
-        Inode.decode(b"not|enough|fields")
+        tree.makedirs("/a/../c")
 
 
 # ------------------------------------------------------------------ builders

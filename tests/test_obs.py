@@ -139,17 +139,6 @@ def test_jsonl_tracer_streams_lines(tmp_path):
     assert t.spans == []
 
 
-def test_jsonl_tracer_max_spans_counts_dropped(tmp_path):
-    path = tmp_path / "t.jsonl"
-    t = JsonlTracer(str(path), max_spans=2)
-    for i in range(5):
-        s, end = _make_span(i)
-        t.finish(s, end)
-    t.close()
-    assert len(path.read_text().splitlines()) == 2
-    assert t.dropped == 3
-
-
 def test_null_tracer_is_falsy_and_refuses_spans():
     assert not NULL_TRACER
     with pytest.raises(RuntimeError):

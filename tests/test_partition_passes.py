@@ -136,7 +136,7 @@ def _free_name(rng, tree: NamespaceTree, parent: int, step: int) -> str:
 
 
 def _mutate(rng, tree: NamespaceTree, pmap, step: int) -> None:
-    """One random grow, prune, rename or ownership change."""
+    """One random grow, prune or ownership change."""
     dirs = list(tree.iter_dirs())
     d = dirs[int(rng.integers(len(dirs)))]
     roll = rng.random()
@@ -151,14 +151,6 @@ def _mutate(rng, tree: NamespaceTree, pmap, step: int) -> None:
     elif roll < 0.66:
         if d != ROOT_INO and not tree.children(d):
             tree.remove(d)
-    elif roll < 0.76:
-        # move an entry under another directory, never into its own subtree
-        kids = list(tree.children(d).values())
-        if kids:
-            ino = kids[int(rng.integers(len(kids)))]
-            dest = dirs[int(rng.integers(len(dirs)))]
-            if not (tree.is_dir(ino) and tree.dfs_index().contains(ino, dest)):
-                tree.rename(ino, dest, _free_name(rng, tree, dest, step))
     elif pmap is not None and roll < 0.9:
         pmap.migrate_subtree(d, int(rng.integers(pmap.n_mds)))
     elif pmap is not None:

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on core data-structure invariants."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import PartitionMap, imbalance_factor
 from repro.kvstore import LSMStore
 from repro.namespace import ROOT_INO, NamespaceTree
+from repro.workloads.serialize import load_bundle, save_bundle
 
 SET = settings(
     max_examples=60,
@@ -25,7 +29,7 @@ def tree_operations(draw):
     n = draw(st.integers(1, 60))
     ops = []
     for i in range(n):
-        kind = draw(st.sampled_from(["mkdir", "create", "remove", "rename"]))
+        kind = draw(st.sampled_from(["mkdir", "create", "remove", "rmdir"]))
         ops.append((kind, draw(st.integers(0, 10**6)), f"e{i}"))
     return ops
 
@@ -44,13 +48,11 @@ def apply_ops(ops):
         elif kind == "remove" and files:
             ino = files.pop(pick % len(files))
             tree.remove(ino)
-        elif kind == "rename" and files:
-            ino = files[pick % len(files)]
-            dest = dirs[pick % len(dirs)]
-            try:
-                tree.rename(ino, dest, name + "_r")
-            except FileExistsError:
-                pass
+        elif kind == "rmdir":
+            ino = dirs[pick % len(dirs)]
+            if ino != ROOT_INO and not tree.children(ino):
+                tree.remove(ino)
+                dirs.remove(ino)
     return tree, dirs
 
 
@@ -69,6 +71,32 @@ def test_path_roundtrip_for_every_live_inode(ops):
         if not tree.is_alive(ino):
             continue
         assert tree.lookup(tree.path_of(ino)) == ino
+
+
+def _tree_state(tree):
+    """What a tree must give back through its codecs: its columns, depths
+    and child maps (in insertion order)."""
+    return (
+        tree.columns(),
+        tree.depth_array().tolist(),
+        {d: list(tree.children(d).items()) for d in tree.iter_dirs()},
+    )
+
+
+@given(tree_operations())
+@SET
+def test_tree_round_trips_through_columns_and_bundles(ops):
+    tree, _ = apply_ops(ops)
+    want = _tree_state(tree)
+    rebuilt = NamespaceTree.from_columns(**tree.columns())
+    rebuilt.validate()
+    assert _tree_state(rebuilt) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tree.npz")
+        save_bundle(path, tree)
+        loaded, _ = load_bundle(path)
+    loaded.validate()
+    assert _tree_state(loaded) == want
 
 
 @given(tree_operations())

@@ -40,7 +40,7 @@ def test_roundtrip_tree_only(tmp_path):
     tree2, trace2 = load_bundle(path)
     assert trace2 is None
     f = tree2.lookup("/a/b/f")
-    assert tree2.inode(f).size == 77
+    assert tree2.columns()["size"][f] == 77
 
 
 def test_roundtrip_with_deletions_and_name_reuse(tmp_path):
