@@ -63,7 +63,6 @@ from repro.costmodel.optypes import (
 from repro.fs.cache import LeaseCache, NearRootCache
 from repro.fs.faults.errors import FaultError
 from repro.namespace.tree import _DIR
-from repro.sim.engine import Timeout
 
 __all__ = ["ClientWorker", "run_state"]
 
@@ -96,7 +95,7 @@ def run_state(fs) -> tuple:
         fs.cache,
         # lsdir fan-out legs, one per MDS: a bare RPC served in T_rpc
         tuple(
-            (s, s.mds_id, s.resource.request, s.resource.release, t_rpc, False)
+            (s, s.mds_id, s.resource, s.resource.release, t_rpc, False)
             for s in servers
         ),
         params.t_exec_table,
@@ -147,7 +146,7 @@ class ClientWorker:
 
         Returns ``(steps, pserver, primary, n_hits, n_misses)``.  ``steps``
         holds one leg per contacted MDS in path order — ``(server, mds,
-        request, release, svc, is_primary)`` — covering the uncached path
+        resource, release, svc, is_primary)`` — covering the uncached path
         components plus the target entry, with the ``T_inode``/``T_rpc``
         arithmetic folded into ``svc``; the primary's leg adds ``T_exec``
         per op, so its hold is ``(T_inode * (n + 1) + T_rpc) + T_exec``
@@ -195,7 +194,7 @@ class ClientWorker:
             res = s.resource
             # +1 fake/anchor inode read, plus the RPC handling cost itself
             steps.append(
-                (s, mds, res.request, res.release,
+                (s, mds, res, res.release,
                  t_inode * (n_reads + 1) + t_rpc, mds == primary)
             )
         return (tuple(steps), fs.servers[primary], primary, n_hits, n_misses)
@@ -305,7 +304,6 @@ class ClientWorker:
             kvstore,
             datapath,
         ) = fs._client_shared
-        TO = Timeout
         my_ops = 0
         last_now = 0.0
 
@@ -320,7 +318,7 @@ class ClientWorker:
             if thinks is not None and thinks[i] > 0.0:
                 # offered-load shaping: the client idles before issuing, so
                 # think time is *not* part of the op's measured latency
-                yield TO(env, thinks[i])
+                yield thinks[i]
             if tracer is None:
                 span = None
             else:
@@ -370,11 +368,11 @@ class ClientWorker:
 
                         legs = steps
                         while True:
-                            for server, mds, request, release, svc, isp in legs:
+                            for server, mds, resource, release, svc, isp in legs:
                                 if inj is not None:
                                     hit = inj.rpc_gate(mds, span)
                                     if hit is not None:
-                                        yield TO(env, hit[0])
+                                        yield hit[0]
                                         if hit[1] is not None:
                                             raise hit[1]
                                 server.total_rpcs += 1
@@ -383,24 +381,23 @@ class ClientWorker:
                                     span.net_ms += rtt
                                     span.rpcs += 1
                                     span.mds_visited.append(mds)
-                                yield TO(env, rtt)
+                                yield rtt
                                 # the MdsServer.service hold, inlined
                                 if isp:
                                     svc += t_exec
                                 if guarded:
                                     svc = server.admit(svc)
-                                req = request()
+                                if span is None:
+                                    yield resource
+                                else:
+                                    queued_at = env._now
+                                    yield resource
+                                    span.queue_ms += env._now - queued_at
                                 try:
-                                    if span is None:
-                                        yield req
-                                    else:
-                                        queued_at = env._now
-                                        yield req
-                                        span.queue_ms += env._now - queued_at
                                     if inj is not None:
                                         incarnation = server.granted()
                                     if svc > 0:
-                                        yield TO(env, svc)
+                                        yield svc
                                     if inj is not None:
                                         server.survived(incarnation, svc, span)
                                     if span is not None:
@@ -408,7 +405,7 @@ class ClientWorker:
                                     server.epoch_busy_ms += svc
                                     server.total_busy_ms += svc
                                 finally:
-                                    release(req)
+                                    release()
                             if legs is not steps or not is_lsdir:
                                 break
                             # lsdir then asks every other MDS holding children;
@@ -481,7 +478,7 @@ class ClientWorker:
                         if attempt > 1:
                             inj.ops_recovered += 1
                         break
-                    yield TO(env, wait)
+                    yield wait
                     attempt += 1
                     # the backoff may span epoch boundaries: the balancer can
                     # have evacuated the failed MDS's subtrees meanwhile, and a

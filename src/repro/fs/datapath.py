@@ -43,11 +43,10 @@ class DataCluster:
         size_kb = fs.rng.exponential(self.mean_file_kb)
         server = self.servers[key % len(self.servers)]
         duration = self.per_op_overhead_ms + (size_kb / 1024.0) / self.bandwidth * 1000.0
-        req = server.request()
+        yield server
         try:
-            yield req
-            yield self.env.timeout(duration)
+            yield duration
         finally:
-            server.release(req)
+            server.release()
         fs.data_ops_completed += 1
         fs.last_completion_ms = self.env.now

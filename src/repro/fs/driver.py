@@ -68,14 +68,13 @@ class EpochDriver:
 
     def run(self) -> Generator:
         fs = self.fs
-        env = fs.env
         audit = fs.obs.audit
         elastic = fs.elastic
         # live, not published at the end: its twin fs.epochs is
         # checkpointed, while the registry counts one run segment
         m_epochs = fs.obs.registry.counter("epochs_total", "epoch boundaries crossed")
         while True:
-            yield env.timeout(fs.config.epoch_ms)
+            yield fs.config.epoch_ms
             snapshot = fs.stats.snapshot_and_reset()
             em = self.flush_epoch()
             m_epochs.inc()

@@ -100,7 +100,7 @@ class FaultInjector:
                     fs.cache.on_mds_crash(env.now, until)
                 continue
             if t > env.now:
-                yield env.timeout(t - env.now)
+                yield t - env.now
             server = fs.servers[ev.mds]
             if kind == "crash":
                 server.crash()
@@ -126,7 +126,11 @@ class FaultInjector:
                     fs.cache.on_mds_crash(env.now, env.now + rec_ms)
 
     def cancel(self) -> None:
-        """Stop pending timeline events so a drained run can end (idempotent)."""
+        """Stop pending timeline events so a drained run can end (idempotent).
+
+        The control process's cancelled sleep still fires, inert, and moves
+        the clock to the next crash or restart edge (see
+        :meth:`repro.sim.Process.interrupt`)."""
         for p in self.control_procs:
             if p.is_alive:
                 try:

@@ -309,7 +309,7 @@ class OrigamiFS:
 
             def terminator():
                 # when the last client drains, cancel the driver's pending
-                # epoch timeout so virtual time stops at the last completed
+                # epoch sleep so virtual time stops at the last completed
                 # operation
                 yield self.env.all_of(clients)
                 if driver_proc.is_alive:
@@ -328,7 +328,8 @@ class OrigamiFS:
             if gc_was_enabled:
                 gc.enable()
         # duration = when the last operation completed (the driver's cancelled
-        # epoch timeout may have dragged env.now further; ignore it)
+        # epoch sleep still fires and may have dragged env.now further;
+        # ignore it)
         duration = self.last_completion_ms
         # the servers count this run's RPCs; a resumed run adds them to the
         # checkpointed total

@@ -28,7 +28,7 @@ from typing import Generator, Optional
 from repro.fs.faults.errors import MdsCrashedError, MdsUnavailableError
 from repro.kvstore import LSMStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.sim import Environment, Resource, Timeout
+from repro.sim import Environment, Resource
 
 __all__ = ["MdsServer"]
 
@@ -170,18 +170,17 @@ class MdsServer:
         env = self.env
         duration_ms = self.admit(duration_ms)
         resource = self.resource
-        req = resource.request()
-        try:  # try/finally, not `with`: skips the __enter__/__exit__ calls
-            if span is not None:
-                enqueued_at = env._now
-                yield req
-                span.queue_ms += env._now - enqueued_at
-            else:
-                yield req
+        if span is not None:
+            enqueued_at = env._now
+            yield resource
+            span.queue_ms += env._now - enqueued_at
+        else:
+            yield resource
+        try:
             if faults is not None:
                 incarnation = self.granted()
             if duration_ms > 0:
-                yield Timeout(env, duration_ms)
+                yield duration_ms
             if faults is not None:
                 self.survived(incarnation, duration_ms, span)
             if span is not None:
@@ -189,7 +188,7 @@ class MdsServer:
             self.epoch_busy_ms += duration_ms
             self.total_busy_ms += duration_ms
         finally:
-            resource.release(req)
+            resource.release()
 
     def admit(self, duration_ms: float) -> float:
         """Entry check of a hold: the hold time after degradation.

@@ -422,9 +422,15 @@ class NamespaceTree:
             raise ValueError("tree columns hold an unknown file type")
         dead = (np.flatnonzero(~alive[1:]) + 1).tolist()
         entry_names = names[1:]
+        taken = set(names) if dead else ()
         for ino in dead:
-            # a removed entry's name may have been reused by a live sibling
-            entry_names[ino - 1] = f"__dead_{ino}"
+            # a removed entry's name may have been reused by a live sibling,
+            # and a live entry may bear any placeholder name: each dead ino
+            # gets one that no entry of the batch bears
+            placeholder = f"__dead_{ino}"
+            while placeholder in taken:
+                placeholder = "_" + placeholder
+            entry_names[ino - 1] = placeholder
         tree = cls()
         try:
             tree.create_many(parent[1:], entry_names, ftype[1:] == _DIR, size[1:])

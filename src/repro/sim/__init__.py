@@ -4,18 +4,21 @@ This package is the substrate every timed component of the reproduction runs
 on: metadata servers, clients, the network, and the data path are all
 generator-based processes scheduled by :class:`~repro.sim.engine.Environment`.
 
-The kernel is intentionally SimPy-flavoured (``env.process``, ``env.timeout``,
-``yield event``) so the simulator code in :mod:`repro.fs` reads like standard
-DES code, but it is self-contained, deterministic, and tuned for the event
-rates this workload produces (millions of events per run).  It carries only
-what the cluster model uses: timeouts, processes, one join (``all_of``),
-interrupts, and one-slot FIFO service queues
-(:class:`~repro.sim.resources.Resource`), driven by one event loop
-(:meth:`~repro.sim.engine.Environment.run`, which runs until the calendar
-drains):
+The kernel is SimPy-flavoured (``env.process``, ``yield event``) so the
+simulator code in :mod:`repro.fs` reads like standard DES code, but it is
+self-contained, deterministic, and tuned for the event rates this workload
+produces (millions of events per run).  It carries only what the cluster
+model uses: processes, their two waits, one join (``all_of``), interrupts,
+and one-slot FIFO service queues (:class:`~repro.sim.resources.Resource`),
+driven by one event loop (:meth:`~repro.sim.engine.Environment.run`, which
+runs until the calendar drains):
 
-* the event heap stores plain tuples, no per-event object churn beyond the
-  :class:`~repro.sim.engine.Event` instances the model already needs;
+* a process sleeps by yielding its delay and queues for a server by
+  yielding the :class:`~repro.sim.resources.Resource`; both waits reuse the
+  process's one wake-up event, so the waits that make up almost every
+  event of a run allocate nothing (:mod:`repro.sim.process`);
+* the event heap stores plain tuples; :class:`~repro.sim.engine.Event`
+  objects are made only for joins, process completions and interrupts;
 * same-time events fire in strict FIFO order of scheduling (a monotone
   sequence number breaks ties), which makes every run bit-reproducible;
 * randomness is never global — components draw from named
@@ -24,7 +27,7 @@ drains):
 """
 
 from repro.sim.durcost import DurabilityCostModel
-from repro.sim.engine import Environment, Event, Interrupt, Timeout
+from repro.sim.engine import Environment, Event, Interrupt
 from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStream, SeedSequenceFactory
@@ -34,7 +37,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "Timeout",
     "Process",
     "Resource",
     "RngStream",

@@ -11,6 +11,13 @@ event object itself is never compared.  Determinism of the whole simulation
 reduces to determinism of the model code plus seeded RNG streams
 (:mod:`repro.sim.rng`).
 
+Almost every entry is one of a process's two waits, and neither allocates:
+a sleep (the process yields its delay) and a grant of a
+:class:`~repro.sim.resources.Resource` (the process yields the resource)
+both put the process's own reusable wake-up event on the calendar (see
+:mod:`repro.sim.process`).  :class:`Event` objects proper serve the
+joins, process completions and the urgent bookkeeping below.
+
 Virtual time is a float; the reproduction uses **milliseconds** throughout
 (see ``repro.costmodel.params`` for the unit conventions).
 """
@@ -20,7 +27,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["Environment", "Event", "Timeout", "Interrupt"]
+__all__ = ["Environment", "Event", "Interrupt"]
 
 #: priority for ordinary events
 NORMAL = 1
@@ -115,30 +122,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # flat init (no super() chain): a Timeout is born triggered, and this
-        # constructor is the single hottest allocation site in the simulator
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self.delay = delay
-        env._seq = seq = env._seq + 1
-        queue = env._queue
-        heappush(queue, (env._now + delay, _NORMAL_KEY | seq, self))
-        if len(queue) > env._peak_queue:
-            env._peak_queue = len(queue)
-
-
 class AllOf(Event):
     """Fires when all child events have fired; value is the list of values."""
 
@@ -208,9 +191,6 @@ class Environment:
         return self._peak_queue
 
     # -- factories ---------------------------------------------------------
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -231,7 +211,7 @@ class Environment:
         if len(queue) > self._peak_queue:
             self._peak_queue = len(queue)
 
-    def _urgent(self, callback: Callable[[Event], None], value: Any = None, ok: bool = True) -> None:
+    def _urgent(self, callback: Callable[[Event], None], value: Any = None, ok: bool = True) -> Event:
         """Call ``callback`` from an urgent zero-delay event carrying
         ``value``/``ok``: it runs before the normal events at the current
         time, in scheduling order (keeps causality ordering)."""
@@ -241,6 +221,7 @@ class Environment:
         ev._value = value
         ev.callbacks.append(callback)
         self._schedule(ev, URGENT, 0.0)
+        return ev
 
     def warp(self, to_time: float) -> None:
         """Jump the clock forward on an *empty* calendar (checkpoint restore).

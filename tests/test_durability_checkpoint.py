@@ -14,7 +14,8 @@ from repro.durability import CHECKPOINT_SCHEMA_VERSION, Checkpointer, SimCheckpo
 from repro.durability.errors import CheckpointError
 from repro.fs.filesystem import OrigamiFS, SimConfig
 from repro.harness.experiments import build_workload
-from repro.namespace.tree import _DIR
+from repro.namespace.tree import _DIR, ROOT_INO, NamespaceTree
+from repro.workloads.serialize import load_bundle, save_bundle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -251,3 +252,39 @@ def test_malformed_component_state_is_a_checkpoint_error(tmp_path, key, broken):
     ck = SimCheckpoint.from_dict(dict(payload, **{key: broken}))
     with pytest.raises(CheckpointError):
         Checkpointer().restore(ck, trace, LunulePolicy(), SimConfig(n_mds=2, seed=0))
+
+
+def _bury_placeholder_name(tree) -> None:
+    """Remove a fresh root entry and give a live sibling the name its dead
+    ino is rebuilt under."""
+    ino = tree.create_file(ROOT_INO, "x")
+    tree.remove(ino)
+    tree.create_file(ROOT_INO, f"__dead_{ino}")
+
+
+def test_live_entry_named_like_a_dead_placeholder_round_trips(tmp_path):
+    """``from_columns`` rebuilds dead inos under placeholder names; a live
+    sibling may bear the obvious one, through the columns, a workload
+    bundle and a checkpoint alike."""
+    tree = NamespaceTree()
+    _bury_placeholder_name(tree)
+    assert tree.children(ROOT_INO) == {"__dead_1": 2}
+    rebuilt = NamespaceTree.from_columns(**tree.columns())
+    assert rebuilt.columns() == tree.columns()
+    rebuilt.validate()
+    path = str(tmp_path / "tree.npz")
+    save_bundle(path, tree)
+    loaded, _ = load_bundle(path)
+    assert loaded.columns() == tree.columns()
+
+    built, trace = build_workload("rw", 600, seed=7)
+    _bury_placeholder_name(built.tree)
+    cfg = dict(n_mds=3, seed=5)
+    fs1 = OrigamiFS(built.tree, trace[:300], LunulePolicy(), SimConfig(**cfg))
+    fs1.run()
+    ck = Checkpointer().capture(fs1)
+    ck.save(str(tmp_path / "run.ckpt"))
+    fs2 = Checkpointer().restore(
+        SimCheckpoint.load(str(tmp_path / "run.ckpt")), trace, LunulePolicy(), SimConfig(**cfg)
+    )
+    assert fs2.tree.columns() == fs1.tree.columns()

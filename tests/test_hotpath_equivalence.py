@@ -293,18 +293,18 @@ def test_packed_key_is_order_isomorphic_to_pair(p1, p2, s1, s2):
 def test_clock_is_monotonic_and_events_counted():
     """The inlined run loop advances time monotonically and flushes the
     event counter (the timeline reads it mid-run) exactly once per event."""
-    from repro.sim.engine import Environment, Timeout
+    from repro.sim.engine import Environment
 
     env = Environment()
     times = []
 
     def proc():
         for d in (3.0, 0.0, 1.5, 0.0, 2.0):
-            yield Timeout(env, d)
+            yield d
             times.append(env.now)
 
     env.process(proc())
     env.run()
     assert times == sorted(times)
-    # bootstrap + 5 timeouts + process-termination event
+    # bootstrap + 5 sleeps + process-termination event
     assert env.events_processed == 7

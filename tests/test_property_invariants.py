@@ -25,12 +25,16 @@ SET = settings(
 
 @st.composite
 def tree_operations(draw):
-    """A random sequence of namespace mutations (by construction valid)."""
+    """A random sequence of namespace mutations (by construction valid).
+
+    Some entries are named ``__dead_<n>``, as ``from_columns`` first names
+    the dead inos it rebuilds."""
     n = draw(st.integers(1, 60))
     ops = []
     for i in range(n):
         kind = draw(st.sampled_from(["mkdir", "create", "remove", "rmdir"]))
-        ops.append((kind, draw(st.integers(0, 10**6)), f"e{i}"))
+        name = f"__dead_{i}" if draw(st.booleans()) else f"e{i}"
+        ops.append((kind, draw(st.integers(0, 10**6)), name))
     return ops
 
 

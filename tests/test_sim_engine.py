@@ -1,4 +1,4 @@
-"""Unit tests for the DES kernel: events, ordering, timeouts, processes."""
+"""Unit tests for the DES kernel: events, ordering, sleeps, processes."""
 
 import pytest
 
@@ -10,7 +10,7 @@ def test_timeout_fires_at_delay():
     seen = []
 
     def proc():
-        yield env.timeout(5.0)
+        yield 5.0
         seen.append(env.now)
 
     env.process(proc())
@@ -18,23 +18,52 @@ def test_timeout_fires_at_delay():
     assert seen == [5.0]
 
 
-def test_timeout_value_passed_through():
+def test_int_delay_sleeps_like_a_float():
     env = Environment()
-    got = []
+    seen = []
 
     def proc():
-        v = yield env.timeout(1.0, value="payload")
-        got.append(v)
+        yield 2
+        seen.append(env.now)
+        yield 0
+        seen.append(env.now)
+        yield 3
+        seen.append(env.now)
 
     env.process(proc())
     env.run()
-    assert got == ["payload"]
+    assert seen == [2.0, 2.0, 5.0]
+    assert env.events_processed == 5  # bootstrap, three wake-ups, completion
 
 
 def test_negative_delay_rejected():
+    """A negative delay raises ValueError at the yield, inside the process,
+    and schedules nothing."""
     env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1.0)
+    caught = []
+
+    def proc():
+        try:
+            yield -1.0
+        except ValueError as e:
+            caught.append((str(e), env.now, env.queue_len))
+        yield 1
+        caught.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert caught == [("negative delay -1.0", 0.0, 0), 1.0]
+
+
+def test_unhandled_negative_delay_fails_the_process():
+    env = Environment()
+
+    def proc():
+        yield -2
+
+    env.process(proc())
+    with pytest.raises(ValueError, match="negative delay -2"):
+        env.run()
 
 
 def test_same_time_events_fifo_order():
@@ -43,7 +72,7 @@ def test_same_time_events_fifo_order():
 
     def make(tag):
         def proc():
-            yield env.timeout(3.0)
+            yield 3.0
             order.append(tag)
 
         return proc
@@ -64,7 +93,7 @@ def test_event_succeed_wakes_waiter():
         got.append((env.now, v))
 
     def firer():
-        yield env.timeout(7.0)
+        yield 7.0
         ev.succeed(42)
 
     env.process(waiter())
@@ -93,7 +122,7 @@ def test_failed_event_raises_in_waiter():
             caught.append(str(e))
 
     def firer():
-        yield env.timeout(1.0)
+        yield 1.0
         ev.fail(ValueError("boom"))
 
     env.process(waiter())
@@ -115,7 +144,7 @@ def test_process_is_event_fork_join():
     results = []
 
     def child(n):
-        yield env.timeout(n)
+        yield n
         return n * 10
 
     def parent():
@@ -135,12 +164,12 @@ def test_wait_on_already_processed_event():
     results = []
 
     def child():
-        yield env.timeout(1.0)
+        yield 1.0
         return "done"
 
     def parent():
         c = env.process(child())
-        yield env.timeout(10.0)
+        yield 10.0
         # child finished long ago; waiting must resume immediately
         v = yield c
         results.append((v, env.now))
@@ -155,7 +184,7 @@ def test_all_of_collects_values():
     results = []
 
     def child(n):
-        yield env.timeout(n)
+        yield n
         return n
 
     def parent():
@@ -187,13 +216,13 @@ def test_interrupt_raises_in_target():
 
     def sleeper():
         try:
-            yield env.timeout(100.0)
+            yield 100.0
             log.append("completed")
         except Interrupt as i:
             log.append(("interrupted", i.cause, env.now))
 
     def interrupter(target):
-        yield env.timeout(5.0)
+        yield 5.0
         target.interrupt(cause="deadline")
 
     t = env.process(sleeper())
@@ -206,7 +235,7 @@ def test_interrupt_terminated_process_raises():
     env = Environment()
 
     def quick():
-        yield env.timeout(1.0)
+        yield 1.0
 
     p = env.process(quick())
     env.run()
@@ -218,7 +247,7 @@ def test_yield_non_event_type_error():
     env = Environment()
 
     def bad():
-        yield 42
+        yield "42"  # a number is a sleep
 
     env.process(bad())
     with pytest.raises(TypeError):
@@ -229,8 +258,8 @@ def test_event_counter_and_peek():
     env = Environment()
 
     def proc():
-        yield env.timeout(2.0)
-        yield env.timeout(2.0)
+        yield 2.0
+        yield 2.0
 
     env.process(proc())
     env.run()
@@ -244,7 +273,7 @@ def test_deterministic_replay():
 
         def worker(tag, delays):
             for d in delays:
-                yield env.timeout(d)
+                yield d
                 trace.append((tag, env.now))
 
         env.process(worker("a", [1.0, 3.0, 2.0]))

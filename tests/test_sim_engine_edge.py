@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt
+from repro.sim import Environment, Event, Interrupt, Resource
 
 
 def test_all_of_failure_propagates():
@@ -12,11 +12,11 @@ def test_all_of_failure_propagates():
     caught = []
 
     def bad_child():
-        yield env.timeout(2.0)
+        yield 2.0
         raise ValueError("child exploded")
 
     def good_child():
-        yield env.timeout(5.0)
+        yield 5.0
         return "ok"
 
     def parent():
@@ -36,7 +36,7 @@ def test_process_exception_reaches_waiter():
     caught = []
 
     def failing():
-        yield env.timeout(1.0)
+        yield 1.0
         raise RuntimeError("inner")
 
     def waiter():
@@ -55,7 +55,7 @@ def test_unwaited_process_exception_surfaces_from_run():
     env = Environment()
 
     def failing():
-        yield env.timeout(1.0)
+        yield 1.0
         raise RuntimeError("nobody listening")
 
     env.process(failing())
@@ -69,14 +69,14 @@ def test_interrupt_handled_and_process_continues():
 
     def worker():
         try:
-            yield env.timeout(100.0)
+            yield 100.0
         except Interrupt:
             log.append(("interrupted", env.now))
-        yield env.timeout(3.0)  # keeps going after handling
+        yield 3.0  # keeps going after handling
         log.append(("done", env.now))
 
     def boss(w):
-        yield env.timeout(4.0)
+        yield 4.0
         w.interrupt()
 
     w = env.process(worker())
@@ -90,7 +90,7 @@ def test_nested_yield_from_generators():
     trace = []
 
     def inner(tag):
-        yield env.timeout(1.0)
+        yield 1.0
         trace.append((tag, env.now))
         return tag * 2
 
@@ -109,9 +109,9 @@ def test_zero_delay_timeouts_preserve_order():
     order = []
 
     def proc(tag):
-        yield env.timeout(0.0)
+        yield 0.0
         order.append(tag)
-        yield env.timeout(0.0)
+        yield 0.0
         order.append(tag + 10)
 
     env.process(proc(0))
@@ -128,7 +128,7 @@ def test_chained_immediate_events_terminate():
     def proc():
         ev = Event(env)
         ev.succeed("v")
-        yield env.timeout(0.0)
+        yield 0.0
         # ev is processed by now; waiting resumes synchronously many times
         for _ in range(2000):
             v = yield ev
@@ -146,11 +146,15 @@ def test_all_of_mixes_processed_and_pending_children_in_child_order():
     env = Environment()
     got = []
 
+    def child(ms, value):
+        yield ms
+        return value
+
     def parent():
-        early = env.timeout(1.0, value="early")
-        late = env.timeout(5.0, value="late")
-        also_early = env.timeout(1.0, value="also-early")
-        yield env.timeout(2.0)  # both early children are processed now
+        early = env.process(child(1.0, "early"))
+        late = env.process(child(5.0, "late"))
+        also_early = env.process(child(1.0, "also-early"))
+        yield 2.0  # both early children are processed now
         got.append((yield env.all_of([late, early, also_early])))
         got.append(env.now)
         got.append((yield env.all_of([early, also_early])))
@@ -179,7 +183,7 @@ def test_interrupt_before_first_resume_raises():
     env = Environment()
 
     def proc():
-        yield env.timeout(1.0)
+        yield 1.0
 
     p = env.process(proc())
     with pytest.raises(RuntimeError, match="not waiting on an event yet"):
@@ -190,24 +194,55 @@ def test_interrupt_before_first_resume_raises():
 
 def test_ended_processes_leave_no_cyclic_garbage():
     """Returned, joined and interrupted processes are freed by reference
-    counting alone."""
+    counting alone, whether they slept, queued for a Resource or held it,
+    and whichever wait an interrupt cancelled: no wake-up event or its
+    callback list outlives its process as a cycle."""
     env = Environment()
+    res = Resource(env)
     log = []
+    victims = {}
 
     def sleeper(ms):
-        yield env.timeout(ms)
+        yield ms
         log.append(ms)
 
-    def joiner(kids, victim):
-        yield env.all_of(kids)
-        victim.interrupt("done")
+    def user(tag, ms):
+        yield res
+        try:
+            yield ms
+        finally:
+            res.release()
+        log.append(tag)
 
-    env.process(joiner([env.process(sleeper(1.0)) for _ in range(3)], env.process(sleeper(9.0))))
+    def releaser():
+        yield res
+        try:
+            yield 2.0
+        finally:
+            res.release()  # grants "granted", which has not resumed yet
+        victims["granted"].interrupt("at the grant")
+
+    def joiner(kids):
+        yield env.all_of(kids)  # t = 1
+        victims["asleep"].interrupt("done")
+        victims["queued"].interrupt("done")
+
+    env.process(releaser())  # holds [0, 2]
+    victims["granted"] = env.process(user("granted", 1.0))
+    victims["queued"] = env.process(user("queued", 1.0))
+    env.process(user("served", 1.0))
+    victims["asleep"] = env.process(sleeper(9.0))
+    env.process(joiner([env.process(sleeper(1.0)) for _ in range(3)]))
     gc.collect()
     gc.disable()
     try:
         env.run()
+        alive = [p.is_alive for p in victims.values()]
+        victims.clear()  # the processes' last references outside the kernel
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert log == [1.0, 1.0, 1.0]  # the victim never woke
+    assert log == [1.0, 1.0, 1.0, "served"]  # no victim finished its wait
+    assert alive == [False, False, False]
+    assert (res.in_use, res.queue_len, res.total_grants) == (0, 0, 3)
+    assert env.now == 9.0  # the cancelled sleep still fired, inert
