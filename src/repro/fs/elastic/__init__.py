@@ -2,7 +2,8 @@
 
 See :mod:`repro.fs.elastic.liveness` for the shared membership view,
 :mod:`repro.fs.elastic.spec` for the declarative policy specs, and
-:mod:`repro.fs.elastic.controller` for the DES-side executor.
+:mod:`repro.fs.elastic.controller` for the DES-side decisions and their
+execution.
 ``docs/elasticity.md`` documents the spec format and the drain protocol.
 """
 
@@ -15,16 +16,7 @@ from repro.fs.elastic.liveness import (
     WARMING,
     MDSLiveness,
 )
-from repro.fs.elastic.spec import (
-    AUTOSCALE_SCHEMA_VERSION,
-    AutoscalePolicy,
-    AutoscaleSignal,
-    AutoscaleSpec,
-    PredictivePolicy,
-    ScaleEvent,
-    SchedulePolicy,
-    ThresholdPolicy,
-)
+from repro.fs.elastic.spec import AUTOSCALE_SCHEMA_VERSION, AutoscaleSpec, ScaleEvent
 
 __all__ = [
     "MDSLiveness",
@@ -36,10 +28,5 @@ __all__ = [
     "AUTOSCALE_SCHEMA_VERSION",
     "AutoscaleSpec",
     "ScaleEvent",
-    "AutoscaleSignal",
-    "AutoscalePolicy",
-    "ThresholdPolicy",
-    "PredictivePolicy",
-    "SchedulePolicy",
     "MDSPoolController",
 ]

@@ -7,15 +7,20 @@ balancing policy has applied its migrations for the boundary.  Each step:
 2. completes graceful drains — a ``DRAINING`` MDS leaves the pool
    (``GONE``) only once it owns no directories *and* its service queue is
    quiescent, so no in-flight op is ever lost to a voluntary departure;
-3. asks the spec's :class:`~repro.fs.elastic.spec.AutoscalePolicy` for a
-   pool-size delta and executes it under the min/max bounds and the
-   cooldown gate.
+3. computes a pool-size delta from the spec and its own per-epoch
+   utilization and executes it under the min/max bounds and the cooldown
+   gate.  ``threshold`` compares the epoch's mean active utilization with
+   the hysteresis band; ``predictive`` compares a linear forecast one
+   horizon ahead, ``last + horizon * mean(diff(tail))`` over the last
+   ``horizon + 1`` epochs, clamped to [0, 1.5]; ``schedule`` takes the
+   scripted delta of the epoch, and alone skips the cooldown.  The
+   controller reads no telemetry, so observing a run never steers it.
 
 Scale-out marks the lowest-index parked server ``WARMING`` and arms its
-warm-up slowdown (``warm_until``/``warm_factor`` on the server — the same
-degradation shape as the fault schedule's crash-restart warm-up).  A fresh
-member carries zero load, so the balancer's own argmin destination choice
-seeds it on the next trigger; no special seeding pass is needed.
+warm-up window (``warm_until``/``warm_factor`` on the server, the window a
+crash-restart arms too).  A fresh member carries zero load, so the
+balancer's own argmin destination choice seeds it on the next trigger; no
+special seeding pass is needed.
 
 Scale-in marks the least-loaded eligible member ``DRAINING`` (never MDS 0,
 the subtree-placement root anchor).  The balancing policies treat draining
@@ -33,13 +38,13 @@ the cost/latency frontier the ``elastic_diurnal`` bench scenario evaluates.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, List
 
 import numpy as np
 
 from repro.balancers.base import EpochContext, plan_evacuations
 from repro.fs.elastic.liveness import DRAINING, GONE, UP, WARMING
-from repro.fs.elastic.spec import AutoscaleSignal, AutoscaleSpec
+from repro.fs.elastic.spec import AutoscaleSpec
 
 __all__ = ["MDSPoolController"]
 
@@ -51,8 +56,14 @@ class MDSPoolController:
         spec.validate(fs.config.n_mds)
         self.fs = fs
         self.spec = spec
-        self.policy = spec.make_policy()
         self.liveness = fs.liveness
+        #: mean active utilization of every epoch so far (predictive)
+        self._history: List[float] = []
+        #: net scripted pool-size delta per epoch (schedule)
+        self._scripted: Dict[int, int] = {}
+        for e in spec.events:
+            delta = e.count if e.action == "join" else -e.count
+            self._scripted[e.epoch] = self._scripted.get(e.epoch, 0) + delta
         # decision accounting
         self.scale_outs = 0
         self.drains_started = 0
@@ -117,23 +128,13 @@ class MDSPoolController:
         if draining.size:
             yield from self._finish_drains(ctx, draining, now)
 
-        # 3. policy decision under bounds + cooldown
+        # 3. pool-size decision under bounds + cooldown
         duration = max(float(em.duration_ms), 1e-9)
-        active = lv.active_mask()
-        per_util = np.asarray(em.busy_ms, dtype=np.float64)[active] / duration
-        signal = AutoscaleSignal(
-            epoch=ctx.epoch,
-            utilization=float(per_util.mean()) if per_util.size else 0.0,
-            per_mds_util=per_util,
-            n_active=lv.n_active(),
-            min_mds=self.spec.min_mds,
-            max_mds=self.spec.max_mds,
-            window_util=self._window_util(),
-        )
-        delta = self.policy.decide(signal)
+        per_util = np.asarray(em.busy_ms, dtype=np.float64)[lv.active_mask()] / duration
+        delta = self._decide(ctx.epoch, float(per_util.mean()) if per_util.size else 0.0)
         if delta == 0:
             return
-        if self.policy.respects_cooldown and ctx.epoch < self._cooldown_until_epoch:
+        if self.spec.policy != "schedule" and ctx.epoch < self._cooldown_until_epoch:
             self.cooldown_blocked += 1
             return
         acted = False
@@ -149,6 +150,24 @@ class MDSPoolController:
                 acted = True
         if acted:
             self._cooldown_until_epoch = ctx.epoch + self.spec.cooldown_epochs
+
+    def _decide(self, epoch: int, util: float) -> int:
+        """Desired pool-size delta: +k grows, -k shrinks, 0 holds."""
+        spec = self.spec
+        if spec.policy == "schedule":
+            return self._scripted.get(epoch, 0)
+        if spec.policy == "predictive":
+            self._history.append(util)
+            tail = self._history[-(spec.horizon_epochs + 1):]
+            if len(tail) >= 2:
+                util = tail[-1] + spec.horizon_epochs * float(np.diff(tail).mean())
+            util = min(1.5, max(0.0, util))
+        n_active = self.liveness.n_active()
+        if util > spec.scale_out_util and n_active < spec.max_mds:
+            return 1
+        if util < spec.scale_in_util and n_active > spec.min_mds:
+            return -1
+        return 0
 
     def _finish_drains(self, ctx: EpochContext, draining, now: float) -> Generator:
         """Move fully evacuated, quiescent drainers to ``GONE``.
@@ -220,13 +239,3 @@ class MDSPoolController:
         lv.set_state(int(victim), DRAINING)
         self.drains_started += 1
         return True
-
-    # -------------------------------------------------------------- signals
-    def _window_util(self) -> np.ndarray:
-        """Recent per-window cluster utilization from the telemetry timeline."""
-        timeline = self.fs.obs.timeline
-        busy = timeline.recent_cluster_busy(4 * self.spec.horizon_epochs)
-        if busy.size == 0:
-            return busy
-        denom = max(float(timeline.window_ms), 1e-9) * max(self.liveness.n_active(), 1)
-        return busy / denom

@@ -1,4 +1,4 @@
-"""Declarative autoscaling specs and the policies they instantiate.
+"""Declarative autoscaling specs.
 
 An :class:`AutoscaleSpec` is the JSON-round-trippable description of an
 elastic MDS pool — capacity bounds, warm-up model, and the policy that
@@ -15,42 +15,40 @@ Three policies (``AutoscaleSpec.policy``):
     the two thresholds plus the controller's ``cooldown_epochs`` is what
     prevents flapping.
 ``predictive``
-    Same thresholds, applied to a linear forecast of utilization one
-    horizon ahead.  The signal is the telemetry timeline's per-window
-    cluster busy series when the timeline is enabled (finer-grained than
-    epochs), else the policy's own per-epoch utilization history.
+    Same thresholds, applied to a linear forecast of the pool's own
+    per-epoch utilization one horizon ahead, so a rising edge triggers
+    scale-out a few epochs before the threshold policy would.
 ``schedule``
     Explicit ``events`` — ``{"epoch": e, "action": "join"|"drain",
     "count": k}`` — for scripted capacity changes (ignores utilization and
     the cooldown; useful for tests and known maintenance windows).
 
-Policies only *propose* a pool-size delta; the
-:class:`~repro.fs.elastic.controller.MDSPoolController` owns execution,
-bounds, and cooldown.
+The :class:`~repro.fs.elastic.controller.MDSPoolController` computes the
+pool-size delta from the spec and executes it under the bounds and the
+cooldown.  Numbers must be finite and indices and counts integers; a
+malformed spec raises ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict, Tuple
 
 __all__ = [
     "AUTOSCALE_SCHEMA_VERSION",
     "ScaleEvent",
     "AutoscaleSpec",
-    "AutoscaleSignal",
-    "AutoscalePolicy",
-    "ThresholdPolicy",
-    "PredictivePolicy",
-    "SchedulePolicy",
 ]
 
 AUTOSCALE_SCHEMA_VERSION = 1
 
 _POLICIES = ("threshold", "predictive", "schedule")
+
+#: the largest finite float: NaN, the infinities and integers too large for
+#: a float all fail a ``<= _FLOAT_MAX`` bound
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,12 @@ class ScaleEvent:
     count: int = 1
 
     def __post_init__(self):
-        if self.epoch < 0:
-            raise ValueError(f"ScaleEvent.epoch must be >= 0, got {self.epoch}")
+        if type(self.epoch) is not int or self.epoch < 0:
+            raise ValueError(f"ScaleEvent.epoch must be an integer >= 0, got {self.epoch!r}")
         if self.action not in ("join", "drain"):
             raise ValueError(f"ScaleEvent.action must be join|drain, got {self.action!r}")
-        if self.count < 1:
-            raise ValueError(f"ScaleEvent.count must be >= 1, got {self.count}")
+        if type(self.count) is not int or self.count < 1:
+            raise ValueError(f"ScaleEvent.count must be an integer >= 1, got {self.count!r}")
 
     def to_dict(self) -> Dict:
         return {"epoch": self.epoch, "action": self.action, "count": self.count}
@@ -76,7 +74,7 @@ class ScaleEvent:
     def from_dict(cls, d: Dict) -> "ScaleEvent":
         """Parse one event; a missing or malformed field raises ValueError."""
         try:
-            return cls(epoch=int(d["epoch"]), action=d["action"], count=int(d.get("count", 1)))
+            return cls(epoch=d["epoch"], action=d["action"], count=d.get("count", 1))
         except KeyError as exc:
             raise ValueError(f"scale event {d!r} needs {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
@@ -93,8 +91,8 @@ class AutoscaleSpec:
     min_mds: int = 1
     max_mds: int = 8
     #: a freshly provisioned MDS serves at ``warmup_factor``x service time
-    #: for ``warmup_ms`` of virtual time (cold caches), mirroring the fault
-    #: schedule's crash-restart warm-up
+    #: for ``warmup_ms`` of virtual time (cold caches), in the server's one
+    #: warm-up window, which a crash-restart arms too
     warmup_ms: float = 20.0
     warmup_factor: float = 2.0
     #: epochs to hold after any scale action before the next one
@@ -114,10 +112,10 @@ class AutoscaleSpec:
             raise ValueError(
                 f"need 1 <= min_mds <= max_mds, got [{self.min_mds}, {self.max_mds}]"
             )
-        if self.warmup_ms < 0:
-            raise ValueError(f"warmup_ms must be >= 0, got {self.warmup_ms}")
-        if self.warmup_factor < 1.0:
-            raise ValueError(f"warmup_factor must be >= 1, got {self.warmup_factor}")
+        if not 0 <= self.warmup_ms <= _FLOAT_MAX:
+            raise ValueError(f"warmup_ms must be finite and >= 0, got {self.warmup_ms!r}")
+        if not 1.0 <= self.warmup_factor <= _FLOAT_MAX:
+            raise ValueError(f"warmup_factor must be finite and >= 1, got {self.warmup_factor!r}")
         if self.cooldown_epochs < 0:
             raise ValueError(f"cooldown_epochs must be >= 0, got {self.cooldown_epochs}")
         if not 0.0 < self.scale_in_util < self.scale_out_util <= 1.0:
@@ -194,111 +192,3 @@ class AutoscaleSpec:
     def load(cls, path: str) -> "AutoscaleSpec":
         with open(path) as f:
             return cls.from_json(f.read())
-
-    # -------------------------------------------------------------- factory
-    def make_policy(self) -> "AutoscalePolicy":
-        if self.policy == "threshold":
-            return ThresholdPolicy(self.scale_out_util, self.scale_in_util)
-        if self.policy == "predictive":
-            return PredictivePolicy(
-                self.scale_out_util, self.scale_in_util, self.horizon_epochs
-            )
-        return SchedulePolicy(self.events)
-
-
-@dataclass
-class AutoscaleSignal:
-    """What a policy sees at one epoch boundary."""
-
-    epoch: int
-    #: mean busy fraction of the epoch across active (non-gone) members
-    utilization: float
-    #: per-active-member busy fractions (order follows pool indices)
-    per_mds_util: np.ndarray
-    n_active: int
-    min_mds: int
-    max_mds: int
-    #: recent per-window cluster utilization from the telemetry timeline
-    #: (empty array when the timeline is off)
-    window_util: np.ndarray
-
-
-class AutoscalePolicy:
-    """Decide a desired pool-size delta; the controller executes it."""
-
-    name = "base"
-    #: scripted policies opt out of the controller's cooldown gate
-    respects_cooldown = True
-
-    def decide(self, signal: AutoscaleSignal) -> int:
-        """Return +k to grow, -k to shrink, 0 to hold."""
-        raise NotImplementedError
-
-
-class ThresholdPolicy(AutoscalePolicy):
-    """Hysteresis band on mean active utilization."""
-
-    name = "threshold"
-
-    def __init__(self, scale_out_util: float, scale_in_util: float):
-        self.scale_out_util = scale_out_util
-        self.scale_in_util = scale_in_util
-
-    def _from_util(self, util: float, signal: AutoscaleSignal) -> int:
-        if util > self.scale_out_util and signal.n_active < signal.max_mds:
-            return 1
-        if util < self.scale_in_util and signal.n_active > signal.min_mds:
-            return -1
-        return 0
-
-    def decide(self, signal: AutoscaleSignal) -> int:
-        return self._from_util(signal.utilization, signal)
-
-
-class PredictivePolicy(ThresholdPolicy):
-    """Threshold on a linear forecast, one horizon ahead.
-
-    Uses the timeline's per-window utilization series when available (more
-    samples per decision than the epoch series), else its own utilization
-    history.  The forecast is ``last + horizon * mean(diff(tail))`` — a
-    deliberately simple trend extrapolation, so a rising edge triggers
-    scale-out a few epochs before the threshold policy would.
-    """
-
-    name = "predictive"
-
-    def __init__(self, scale_out_util: float, scale_in_util: float, horizon: int):
-        super().__init__(scale_out_util, scale_in_util)
-        self.horizon = horizon
-        self._history: List[float] = []
-
-    def _forecast(self, series: np.ndarray) -> float:
-        tail = series[-(self.horizon + 1):]
-        if tail.size < 2:
-            return float(tail[-1]) if tail.size else 0.0
-        slope = float(np.diff(tail).mean())
-        return float(tail[-1]) + self.horizon * slope
-
-    def decide(self, signal: AutoscaleSignal) -> int:
-        self._history.append(signal.utilization)
-        series = signal.window_util
-        if series.size < 2:
-            series = np.asarray(self._history, dtype=np.float64)
-        forecast = min(1.5, max(0.0, self._forecast(series)))
-        return self._from_util(forecast, signal)
-
-
-class SchedulePolicy(AutoscalePolicy):
-    """Replay scripted join/drain events; utilization is ignored."""
-
-    name = "schedule"
-    respects_cooldown = False
-
-    def __init__(self, events: Tuple[ScaleEvent, ...]):
-        self._by_epoch: Dict[int, int] = {}
-        for e in events:
-            delta = e.count if e.action == "join" else -e.count
-            self._by_epoch[e.epoch] = self._by_epoch.get(e.epoch, 0) + delta
-
-    def decide(self, signal: AutoscaleSignal) -> int:
-        return self._by_epoch.get(signal.epoch, 0)

@@ -4,8 +4,9 @@ The injector owns three things:
 
 * the **crash timeline** — one DES control process that walks the schedule's
   crash/restart edges, flips the target :class:`~repro.fs.server.MdsServer`
-  down/up, and invalidates the clients' near-root cache (a restarted MDS
-  cannot honour leases granted before it died);
+  down/up, arms the restarted server's warm-up window, and invalidates the
+  clients' near-root cache (a restarted MDS cannot honour leases granted
+  before it died);
 * the **client-side gate** — :meth:`rpc_gate` runs before every RPC and
   models the failure a client actually observes: connection refused after
   one round trip for a crashed server, a full RPC-timeout wait for a
@@ -51,11 +52,9 @@ class FaultInjector:
         self._drop_rng = fs.rng_streams.stream("fault-drop")
         self._retry_rng = fs.rng_streams.stream("fault-retry")
 
-        #: durable runs derive restart warm-up from recovery work instead of
-        #: the schedule's fixed warmup_ms constant
-        self._derived_warmup_mode = fs.config.data_dir is not None
-        #: mds -> (warm until, factor) windows installed at restart time
-        self._derived_warmup: Dict[int, tuple] = {}
+        #: durable runs size a restart's warm-up by the recovery work the
+        #: server performed instead of the schedule's fixed warmup_ms
+        self._durable = fs.config.data_dir is not None
 
         # run-scoped totals (published into the registry by finalize)
         self.crashes = 0
@@ -84,46 +83,48 @@ class FaultInjector:
         fs = self.fs
         env = fs.env
         for t, kind, ev in edges:
-            if t < env.now:
-                # a warm-restarted run (checkpoint resume with a warped
-                # clock) has already lived through this edge.  A past crash
-                # whose window is still open must still take the server
-                # down — its restart edge lies ahead and will price the
-                # recovery; everything else is history.
-                if kind == "crash" and (not ev.restarts or ev.end_ms > env.now):
-                    fs.servers[ev.mds].crash()
-                    self.crashes += 1
-                    until = float("inf") if not ev.restarts else (
-                        ev.end_ms if self._derived_warmup_mode
-                        else ev.end_ms + ev.warmup_ms
-                    )
-                    fs.cache.on_mds_crash(env.now, until)
-                continue
+            server = fs.servers[ev.mds]
+            # a warm-restarted run (checkpoint resume with a warped clock)
+            # has already lived through the edges before its clock.  A past
+            # crash whose window is still open must still take the server
+            # down (its restart edge lies ahead and will price the recovery),
+            # and a past restart re-arms its fixed warm-up window; the rest
+            # is history
+            past = t < env.now
             if t > env.now:
                 yield t - env.now
-            server = fs.servers[ev.mds]
             if kind == "crash":
+                if past and ev.end_ms <= env.now:
+                    continue
                 server.crash()
                 self.crashes += 1
                 # leases/near-root entries granted by the dead MDS are void
                 # until it is back and warm (conservatively: all of them —
-                # the DES models one coherent client-population cache); in
-                # derived mode the warm extension is added at restart, once
-                # the recovery cost is known
-                if not ev.restarts:
-                    until = float("inf")
-                elif self._derived_warmup_mode:
-                    until = ev.end_ms
-                else:
-                    until = ev.end_ms + ev.warmup_ms
-                fs.cache.on_mds_crash(env.now, until)
+                # the DES models one coherent client-population cache; a
+                # crash without restart has end_ms = inf); a durable run
+                # adds the warm extension at restart, once the recovery
+                # cost is known
+                fs.cache.on_mds_crash(
+                    env.now, ev.end_ms if self._durable else ev.end_ms + ev.warmup_ms
+                )
+            elif past:
+                if not self._durable:
+                    server.warm_until = ev.end_ms + ev.warmup_ms
+                    server.warm_factor = ev.warmup_factor
             else:
                 rec_ms = server.restart()
                 self.restarts += 1
-                if self._derived_warmup_mode and rec_ms > 0:
+                if not self._durable:
+                    until = ev.end_ms + ev.warmup_ms
+                else:
                     # warm-up window sized by the recovery work performed
-                    self._derived_warmup[ev.mds] = (env.now + rec_ms, ev.warmup_factor)
-                    fs.cache.on_mds_crash(env.now, env.now + rec_ms)
+                    until = env.now + rec_ms
+                    if rec_ms > 0:
+                        fs.cache.on_mds_crash(env.now, until)
+                # the one warm-up window: it replaces any earlier one, an
+                # elastic joiner's included
+                server.warm_until = until
+                server.warm_factor = ev.warmup_factor
 
     def cancel(self) -> None:
         """Stop pending timeline events so a drained run can end (idempotent).
@@ -137,17 +138,6 @@ class FaultInjector:
                     p.interrupt("replay-complete")
                 except RuntimeError:
                     pass
-
-    # ------------------------------------------------------ server-side view
-    def service_factor(self, mds: int, now: float) -> float:
-        f = self.schedule.slowdown_factor(
-            mds, now, include_warmup=not self._derived_warmup_mode
-        )
-        if self._derived_warmup_mode:
-            window = self._derived_warmup.get(mds)
-            if window is not None and now < window[0]:
-                f = max(f, window[1])
-        return f
 
     # ------------------------------------------------------ client-side gate
     def rpc_gate(self, mds: int, span=None) -> Optional[Tuple[float, Optional[FaultError]]]:
@@ -220,6 +210,6 @@ class FaultInjector:
         }
         for reason, n in sorted(self.failed_by_reason.items()):
             out[f"failed_{reason}"] = float(n)
-        if self._derived_warmup_mode:
+        if self._durable:
             out["recovery_ms"] = sum(s.recovery_ms_total for s in self.fs.servers)
         return out

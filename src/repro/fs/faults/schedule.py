@@ -3,8 +3,8 @@
 A :class:`FaultSchedule` is a plain list of window-scoped fault events plus
 the client-side :class:`RetryPolicy`, serialisable to/from JSON so a whole
 resilience experiment is one ``simulate --faults schedule.json`` flag.  The
-schedule is *pure data*: every query (``is_down``, ``slowdown_factor``, …)
-is a function of ``(mds, now)`` only, which is what keeps fault runs
+schedule is *pure data*: every query (``partitioned``, ``slowdown_factor``,
+…) is a function of ``(mds, now)`` only, which is what keeps fault runs
 deterministic — the only RNG the fault layer touches are the dedicated
 seeded streams the injector owns (drop coin flips, backoff jitter).
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,10 @@ __all__ = [
 #: bump when the JSON schema changes incompatibly
 SCHEDULE_SCHEMA_VERSION = 1
 
+#: the largest finite float: NaN, the infinities and integers too large for
+#: a float all fail a ``<= _FLOAT_MAX`` bound
+_FLOAT_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -56,12 +61,12 @@ class FaultEvent:
     end_ms: float
 
     def __post_init__(self):
-        if self.mds < 0:
-            raise ValueError(f"mds must be non-negative, got {self.mds}")
-        if self.start_ms < 0:
-            raise ValueError(f"start_ms must be non-negative, got {self.start_ms}")
-        if self.end_ms <= self.start_ms:
-            raise ValueError("end must come after start")
+        if type(self.mds) is not int or self.mds < 0:
+            raise ValueError(f"mds must be a non-negative integer, got {self.mds!r}")
+        if not 0 <= self.start_ms <= _FLOAT_MAX:
+            raise ValueError(f"start_ms must be finite and non-negative, got {self.start_ms!r}")
+        if not (self.start_ms < self.end_ms <= _FLOAT_MAX or self.end_ms == math.inf):
+            raise ValueError(f"end_ms must be finite or inf and after start_ms, got {self.end_ms!r}")
 
     def active(self, now: float) -> bool:
         return self.start_ms <= now < self.end_ms
@@ -86,8 +91,8 @@ class Slowdown(FaultEvent):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1 (a slowdown)")
+        if not 1.0 <= self.factor <= _FLOAT_MAX:
+            raise ValueError(f"factor must be finite and >= 1 (a slowdown), got {self.factor!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,8 @@ class Crash(FaultEvent):
 
     After restart the server runs at ``warmup_factor``x service times for
     ``warmup_ms`` (journal replay, cold caches) before returning to full
-    speed.
+    speed; on a durable run the window lasts the modelled recovery time
+    instead.  The injector arms the window on the server at the restart.
     """
 
     warmup_ms: float = 0.0
@@ -104,10 +110,10 @@ class Crash(FaultEvent):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.warmup_ms < 0:
-            raise ValueError("warmup_ms must be non-negative")
-        if self.warmup_factor < 1.0:
-            raise ValueError("warmup_factor must be >= 1")
+        if not 0 <= self.warmup_ms <= _FLOAT_MAX:
+            raise ValueError(f"warmup_ms must be finite and non-negative, got {self.warmup_ms!r}")
+        if not 1.0 <= self.warmup_factor <= _FLOAT_MAX:
+            raise ValueError(f"warmup_factor must be finite and >= 1, got {self.warmup_factor!r}")
 
     @property
     def restarts(self) -> bool:
@@ -134,8 +140,8 @@ class RpcDelay(FaultEvent):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.extra_ms <= 0:
-            raise ValueError("extra_ms must be positive")
+        if not 0 < self.extra_ms <= _FLOAT_MAX:
+            raise ValueError(f"extra_ms must be finite and positive, got {self.extra_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -174,18 +180,21 @@ class RetryPolicy:
     jitter: float = 0.5
 
     def __post_init__(self):
-        if self.rpc_timeout_ms <= 0:
-            raise ValueError("rpc_timeout_ms must be positive")
-        if self.backoff_base_ms < 0 or self.backoff_max_ms < self.backoff_base_ms:
-            raise ValueError("need 0 <= backoff_base_ms <= backoff_max_ms")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
+        if not 0 < self.rpc_timeout_ms <= _FLOAT_MAX:
+            raise ValueError("rpc_timeout_ms must be finite and positive")
+        if not 0 <= self.backoff_base_ms <= self.backoff_max_ms <= _FLOAT_MAX:
+            raise ValueError("need 0 <= backoff_base_ms <= backoff_max_ms, both finite")
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be an integer >= 1, got {self.max_attempts!r}")
+        if not 0 <= self.jitter <= _FLOAT_MAX:
+            raise ValueError("jitter must be finite and non-negative")
 
     def backoff_ms(self, attempt: int, u: float) -> float:
-        """Wait before retry number ``attempt`` (1-based); ``u`` in [0, 1)."""
-        raw = self.backoff_base_ms * (2.0 ** (attempt - 1))
+        """Wait before retry number ``attempt`` (1-based); ``u`` in [0, 1).
+
+        The doubling stops at ``2**1023`` (the largest power of two a float
+        holds), long after the cap has taken over."""
+        raw = self.backoff_base_ms * (2.0 ** min(attempt - 1, 1023))
         return min(raw, self.backoff_max_ms) * (1.0 + self.jitter * u)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -230,25 +239,18 @@ class FaultSchedule:
                 raise ValueError("schedule crashes every MDS simultaneously")
 
     # --------------------------------------------------------------- queries
-    def slowdown_factor(self, mds: int, now: float, include_warmup: bool = True) -> float:
-        """Service-time multiplier: worst active slowdown or restart warm-up.
+    def slowdown_factor(self, mds: int, now: float) -> float:
+        """Service-time multiplier of the worst active slowdown on ``mds``.
 
-        ``include_warmup=False`` excludes the fixed post-crash warm-up window
-        — used by durable runs, where the injector derives the warm-up from
-        the recovery work the restarted MDS actually performed."""
+        A restart's warm-up is not a schedule query: the injector arms it on
+        the server (``MdsServer.warm_until``/``warm_factor``) at the restart
+        edge, and :meth:`~repro.fs.server.MdsServer.admit` takes the larger
+        of the two factors."""
         f = 1.0
         for e in self.events:
-            if e.mds != mds:
-                continue
-            if isinstance(e, Slowdown) and e.active(now):
+            if e.mds == mds and isinstance(e, Slowdown) and e.active(now):
                 f = max(f, e.factor)
-            elif include_warmup and isinstance(e, Crash) and e.restarts and e.warmup_ms > 0:
-                if e.end_ms <= now < e.end_ms + e.warmup_ms:
-                    f = max(f, e.warmup_factor)
         return f
-
-    def is_down(self, mds: int, now: float) -> bool:
-        return any(e.mds == mds and isinstance(e, Crash) and e.active(now) for e in self.events)
 
     def partitioned(self, mds: int, now: float) -> bool:
         return any(
@@ -280,10 +282,6 @@ class FaultSchedule:
                 edges.append((e.end_ms, "restart", e))
         edges.sort(key=lambda t: (t[0], t[1] == "crash", t[2].mds))
         return edges
-
-    @property
-    def has_crashes(self) -> bool:
-        return any(isinstance(e, Crash) for e in self.events)
 
     # ----------------------------------------------------------- persistence
     def to_dict(self) -> Dict[str, Any]:

@@ -16,9 +16,14 @@ service time on the caller's :class:`~repro.obs.tracing.Span`.
 Crash semantics (active only when a :class:`~repro.fs.faults.FaultInjector`
 is attached): a crashed server aborts the request it was servicing, drains
 its queue by failing each waiter as its slot is granted, and — after
-:meth:`restart` — serves at the schedule's warm-up factor until its caches
-are hot again.  ``incarnation`` increments on every crash so a request that
-straddles a crash+restart still observes the failure.
+:meth:`restart` — serves slowly until its caches are hot again.
+``incarnation`` increments on every crash so a request that straddles a
+crash+restart still observes the failure.
+
+Warm-up has one home, ``warm_until``/``warm_factor``: the fault injector
+arms it at each restart and the elastic pool controller at each scale-out,
+and :meth:`admit` multiplies a hold by the larger of the warm factor and the
+schedule's slowdown factor while it is open.
 """
 
 from __future__ import annotations
@@ -52,10 +57,10 @@ class MdsServer:
         self.up = True
         self.incarnation = 0
         self._faults = None
-        #: voluntary-join warm-up (elastic scale-out): service is degraded by
-        #: ``warm_factor`` until virtual time passes ``warm_until``.  The
-        #: defaults make the check a single always-false compare, so runs
-        #: without an elastic pool are bit-identical.
+        #: the warm-up window after a restart or an elastic join: service
+        #: is degraded by ``warm_factor`` until virtual time passes
+        #: ``warm_until``.  A new window replaces the old one; the defaults
+        #: make the check a single always-false compare.
         self.warm_until = 0.0
         self.warm_factor = 1.0
         #: durability cost model (repro.sim.DurabilityCostModel) or None
@@ -132,9 +137,9 @@ class MdsServer:
     def restart(self) -> float:
         """Come back up; returns the modeled recovery warm-up in ms.
 
-        Non-durable servers return 0.0 and warm-up degradation stays the
-        schedule's concern (the fixed ``warmup_ms`` constant).  Durable
-        servers price the recovery work their crash actually performed."""
+        Non-durable servers return 0.0 (the injector arms the schedule's
+        fixed ``warmup_ms`` window).  Durable servers price the recovery
+        work their crash actually performed."""
         self.up = True
         rec_ms = 0.0
         if self.durability is not None and self._crash_recovery is not None:
@@ -193,21 +198,21 @@ class MdsServer:
     def admit(self, duration_ms: float) -> float:
         """Entry check of a hold: the hold time after degradation.
 
-        Raises :class:`MdsUnavailableError` when the server is down.  Only
-        a fault injector or an elastic warm-up can change the result, so
-        runs with neither may skip the call."""
-        env = self.env
+        Raises :class:`MdsUnavailableError` when the server is down.  The
+        hold is multiplied once, at the moment it enters service, by the
+        larger of the schedule's slowdown factor and, while the warm-up
+        window is open, the warm factor.  Only a fault injector or an
+        elastic pool can change the result, so runs with neither may skip
+        the call."""
+        now = self.env._now
+        factor = 1.0
         if self._faults is not None:
             if not self.up:
                 raise MdsUnavailableError(self.mds_id)
-            # degradation (slowdown window or restart warm-up) applies at the
-            # moment the request enters service
-            duration_ms *= self._faults.service_factor(self.mds_id, env._now)
-        if self.warm_until > env._now:
-            # cold caches on a freshly provisioned elastic member: same
-            # degradation shape as the fault schedule's restart warm-up
-            duration_ms *= self.warm_factor
-        return duration_ms
+            factor = self._faults.schedule.slowdown_factor(self.mds_id, now)
+        if self.warm_until > now and self.warm_factor > factor:
+            factor = self.warm_factor
+        return duration_ms * factor
 
     def granted(self) -> int:
         """Grant-time check of a hold under faults; returns the incarnation.

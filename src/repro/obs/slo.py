@@ -27,11 +27,15 @@ When a :class:`~repro.fs.faults.schedule.FaultSchedule` is supplied,
 breaching windows that overlap an injected fault are annotated with the
 fault kinds active in that window, so a report can separate "we broke
 the SLO" from "the fault schedule broke the SLO".
+
+Every number in a spec must be finite and ``burn_window`` an integer; a
+malformed objective raises :class:`SloError` naming it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -49,6 +53,11 @@ __all__ = [
 _HIGHER_IS_WORSE = ("p50_ms", "p95_ms", "p99_ms", "lat_mean_ms", "imbalance")
 #: metrics where smaller observed values are worse (rate-style)
 _LOWER_IS_WORSE = ("cache_hit_rate", "ops_per_sec", "events_per_sec")
+
+
+#: the largest finite float: NaN, the infinities and integers too large for
+#: a float all fail a ``<= _FLOAT_MAX`` bound
+_FLOAT_MAX = sys.float_info.max
 
 
 class SloError(ValueError):
@@ -76,14 +85,16 @@ class SloObjective:
                 f"objective {self.name!r}: unknown metric {self.metric!r} "
                 f"(expected one of {_HIGHER_IS_WORSE + _LOWER_IS_WORSE})"
             )
+        if not abs(self.target) <= _FLOAT_MAX:
+            raise SloError(f"objective {self.name!r}: target must be finite")
         if not 0.0 < self.error_budget <= 1.0:
             raise SloError(
                 f"objective {self.name!r}: error_budget must be in (0, 1]"
             )
-        if self.burn_window < 1:
-            raise SloError(f"objective {self.name!r}: burn_window must be >= 1")
-        if self.burn_alert <= 0:
-            raise SloError(f"objective {self.name!r}: burn_alert must be > 0")
+        if type(self.burn_window) is not int or self.burn_window < 1:
+            raise SloError(f"objective {self.name!r}: burn_window must be an integer >= 1")
+        if not 0 < self.burn_alert <= _FLOAT_MAX:
+            raise SloError(f"objective {self.name!r}: burn_alert must be finite and > 0")
 
     @property
     def higher_is_worse(self) -> bool:
@@ -110,14 +121,17 @@ class SloObjective:
                 f"objective {d['name']!r}: unknown keys {sorted(unknown)}"
             )
         for key in sorted((known - {"name", "metric"}) & set(d)):
-            if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
-                raise SloError(f"objective {d['name']!r}: {key!r} must be a number: {d[key]!r}")
+            value = d[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SloError(f"objective {d['name']!r}: {key!r} must be a number: {value!r}")
+            if not abs(value) <= _FLOAT_MAX:
+                raise SloError(f"objective {d['name']!r}: {key!r} must be finite: {value!r}")
         return cls(
             name=str(d["name"]),
             metric=str(d["metric"]),
             target=float(target),
             error_budget=float(d.get("error_budget", 0.01)),
-            burn_window=int(d.get("burn_window", 10)),
+            burn_window=d.get("burn_window", 10),
             burn_alert=float(d.get("burn_alert", 2.0)),
         )
 

@@ -429,20 +429,6 @@ class TimelineCollector:
             out["pool_min"] = float(pool.min())
         return out
 
-    # ------------------------------------------------------- live accessors
-    def recent_cluster_busy(self, n: int) -> np.ndarray:
-        """Per-window total cluster busy-ms of the last ``n`` closed windows.
-
-        The predictive autoscale policy's signal: read *during* the run, so
-        it only covers windows already closed.  Empty when nothing closed
-        yet or the collector is unbound.
-        """
-        busy = self._mds.get("busy_ms")
-        if busy is None or self._closed == 0:
-            return np.zeros(0, dtype=np.float64)
-        k = min(int(n), self._closed)
-        return busy[self._closed - k : self._closed].sum(axis=1)
-
 
 class _NullTimeline:
     """Disabled timeline: components hold this (or ``None``) and skip work."""
@@ -475,9 +461,6 @@ class _NullTimeline:
 
     def summary(self) -> Dict[str, float]:
         return {}
-
-    def recent_cluster_busy(self, n: int) -> np.ndarray:
-        return np.zeros(0, dtype=np.float64)
 
 
 #: the shared disabled collector — the implicit default everywhere

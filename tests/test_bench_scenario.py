@@ -57,7 +57,7 @@ def test_builtins_subsume_figure_configs():
     sizes = sorted({v.n_mds for v in fig8.variants if v.strategy == "Origami"})
     assert sizes == [2, 3, 4, 5]
     faulted = get_scenario("crash_failover_rw")
-    assert faulted.faults is not None and faulted.faults.has_crashes
+    assert faulted.faults is not None and faulted.faults.crash_edges()
 
     def cells(name, *fields):
         return [tuple(getattr(v, f) for f in fields) for v in get_scenario(name).variants]

@@ -1,18 +1,22 @@
 """Fault-injection tests: schedules, crash semantics, retries, evacuation.
 
-The first half covers slowdowns — the injector's service factor, its effect
-on static vs. balancing policies, and an injector installed after
+The first half covers slowdowns — the schedule's slowdown factor, its
+effect on static vs. balancing policies, and an injector installed after
 construction — the second half the rest of the schedule model: JSON
 round-trips, crash windows with zero lost ops, drop/partition paths,
-restart warm-up, and dead-MDS evacuation by the balancer.
+restart warm-up (the server's one warm-up window, also on a resume), and
+dead-MDS evacuation by the balancer.
 """
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.balancers import CoarseHashPolicy, LunulePolicy
 from repro.costmodel import CostParams
+from repro.durability import Checkpointer, SimCheckpoint
 from repro.fs import SimConfig
 from repro.fs.faults import (
     Crash,
@@ -26,7 +30,7 @@ from repro.fs.faults import (
 )
 from repro.fs.filesystem import OrigamiFS, run_simulation
 from repro.harness.config import get_scale
-from repro.harness.experiments import make_policy
+from repro.harness.experiments import build_workload, make_policy
 from repro.sim import SeedSequenceFactory
 from repro.workloads import generate_trace_rw
 
@@ -64,13 +68,11 @@ def test_injector_rejects_unknown_mds():
 
 
 def test_factor_window():
-    inj = FaultInjector(
-        _tiny_fs(), FaultSchedule([Slowdown(mds=1, start_ms=10, end_ms=20, factor=3.0)])
-    )
-    assert inj.service_factor(1, 5.0) == 1.0
-    assert inj.service_factor(1, 15.0) == 3.0
-    assert inj.service_factor(1, 25.0) == 1.0
-    assert inj.service_factor(0, 15.0) == 1.0
+    schedule = FaultSchedule([Slowdown(mds=1, start_ms=10, end_ms=20, factor=3.0)])
+    assert schedule.slowdown_factor(1, 5.0) == 1.0
+    assert schedule.slowdown_factor(1, 15.0) == 3.0
+    assert schedule.slowdown_factor(1, 25.0) == 1.0
+    assert schedule.slowdown_factor(0, 15.0) == 1.0
 
 
 def test_slowdown_degrades_static_partitioning():
@@ -177,11 +179,8 @@ def test_schedule_queries():
     assert sched.slowdown_factor(0, 17.0) == 3.0
     assert sched.slowdown_factor(0, 22.0) == 2.0
     assert sched.slowdown_factor(0, 30.0) == 1.0
-    # a restarting crash serves at the warm-up factor after its window
-    assert sched.is_down(1, 15.0)
-    assert not sched.is_down(1, 25.0)
-    assert sched.slowdown_factor(1, 25.0) == 5.0
-    assert sched.slowdown_factor(1, 35.0) == 1.0
+    # a restart's warm-up is the server's window, not a schedule query
+    assert sched.slowdown_factor(1, 25.0) == 1.0
     # extra delays stack
     assert sched.extra_delay_ms(0, 15.0) == pytest.approx(0.3)
     assert sched.extra_delay_ms(0, 19.0) == pytest.approx(0.1)
@@ -314,18 +313,105 @@ def test_rpc_drop_and_partition_paths():
     assert result.ops_completed + result.fault_failed_ops + result.vanished_ops == n_ops
 
 
-def test_restart_warmup_slows_service():
-    """After a restart the MDS serves at warmup_factor until caches re-heat."""
+def _restarted(*slowdowns, joined=None, **config):
+    """A fs whose crash/restart edges have run (no clients), and its MDS 0;
+    ``joined`` is an elastic joiner's (warm_until, warm_factor) on MDS 0."""
     built, trace = generate_trace_rw(SeedSequenceFactory(0).stream("w"), n_ops=200)
     sched = FaultSchedule(
-        [Crash(mds=0, start_ms=5.0, end_ms=10.0, warmup_ms=20.0, warmup_factor=6.0)]
+        [Crash(mds=0, start_ms=5.0, end_ms=10.0, warmup_ms=20.0, warmup_factor=6.0), *slowdowns]
     )
-    cfg = SimConfig(n_mds=2, n_clients=2, epoch_ms=50.0, seed=0, faults=sched)
+    cfg = SimConfig(n_mds=2, n_clients=2, epoch_ms=50.0, seed=0, faults=sched, **config)
     fs = OrigamiFS(built.tree, trace, LunulePolicy(), cfg)
-    inj = fs.faults
-    assert inj.service_factor(0, 7.0) == 1.0  # down, not slow (gate handles it)
-    assert inj.service_factor(0, 15.0) == 6.0  # warm-up window
-    assert inj.service_factor(0, 40.0) == 1.0
+    server = fs.servers[0]
+    assert server.warm_until == 0.0
+    if joined is not None:
+        server.warm_until, server.warm_factor = joined
+    fs.env.run()  # only the injector's control process is scheduled
+    assert fs.env.now == 10.0 and server.up
+    return fs, server
+
+
+def test_restart_warmup_slows_service():
+    """After a restart the MDS serves at warmup_factor until caches re-heat."""
+    fs, server = _restarted()
+    assert server.warm_until == 10.0 + 20.0
+    assert server.admit(1.0) == 6.0  # warm-up window
+    fs.env.warp(30.0)
+    assert server.admit(1.0) == 1.0
+    assert fs.servers[1].admit(1.0) == 1.0
+
+
+@pytest.mark.parametrize("slowdown", [4.0, 8.0])
+def test_warmup_and_slowdown_take_the_larger_factor(slowdown):
+    """A hold inside both windows is multiplied once, by the larger factor."""
+    fs, server = _restarted(Slowdown(mds=0, start_ms=0.0, end_ms=40.0, factor=slowdown))
+    assert server.admit(1.0) == max(6.0, slowdown)
+    fs.env.warp(35.0)  # warm-up over, slowdown still on
+    assert server.admit(1.0) == slowdown
+
+
+def test_restart_replaces_a_warming_joiners_window():
+    fs, server = _restarted(joined=(1000.0, 2.0))
+    assert (server.warm_until, server.warm_factor) == (30.0, 6.0)
+
+
+def test_durable_restart_warmup_lasts_the_recovery(tmp_path):
+    """A durable restart's window is the modelled recovery time instead."""
+    fs, server = _restarted(use_kvstore=True, data_dir=str(tmp_path / "stores"))
+    assert server.recovery_ms_total > 0.0
+    assert server.warm_until == 10.0 + server.recovery_ms_total
+    assert server.admit(1.0) == 6.0
+    fs.env.warp(server.warm_until)
+    assert server.admit(1.0) == 1.0
+
+
+#: ``SimResult.to_dict()`` digests of a resume captured inside a fixed
+#: warm-up window, as the schedule-side warm-up produced them
+RESUME_IN_WARMUP_DIGESTS = {
+    "crash": "82d8d40d0f84849c7f5ba3cf6338798fe0d537666e50fef679fe28b5b755cd1d",
+    "crash+slowdown": "7cb09bb785292b4f36dfb56966504f046a024904808d7b9fd72c4a709e429dc0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESUME_IN_WARMUP_DIGESTS))
+def test_resume_inside_a_warmup_window_rearms_it(case):
+    """A checkpoint whose clock lies inside a restart's fixed warm-up
+    window resumes with the window armed on the server again."""
+    events = [Crash(mds=0, start_ms=5.0, end_ms=10.0, warmup_ms=200.0, warmup_factor=3.0)]
+    if case == "crash+slowdown":
+        events.append(Slowdown(mds=0, start_ms=0.0, end_ms=100.0, factor=4.0))
+
+    def config():
+        return SimConfig(n_mds=3, seed=7, epoch_ms=15.0, faults=FaultSchedule(events))
+
+    built, trace = build_workload("rw", 3000, seed=7)
+    first = OrigamiFS(built.tree, trace[:1000], LunulePolicy(), config())
+    first.run()
+    checkpoint = SimCheckpoint.from_dict(
+        json.loads(json.dumps(Checkpointer().capture(first).to_dict()))
+    )
+    assert 10.0 < checkpoint.now_ms < 210.0
+    fs = Checkpointer().restore(checkpoint, trace, LunulePolicy(), config())
+    assert fs.servers[0].warm_until == 0.0  # armed by the control process
+    result = fs.run()
+    assert fs.servers[0].warm_until == 210.0
+    blob = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == RESUME_IN_WARMUP_DIGESTS[case]
+
+
+def test_retry_budget_past_1024_attempts_runs():
+    """Backoff doubling stops short of float overflow: a long retry budget
+    against a crash that never restarts ends in typed failures."""
+    sched = FaultSchedule(
+        [Crash(mds=0, start_ms=0.5, end_ms=math.inf)],
+        retry=RetryPolicy(max_attempts=1100, backoff_max_ms=0.5),
+    )
+    built, trace = build_workload("rw", 40, seed=0)
+    config = SimConfig(n_mds=2, n_clients=2, epoch_ms=1e6, seed=0, faults=sched)
+    result = run_simulation(built.tree, trace, CoarseHashPolicy(), config)
+    assert result.faults["ops_failed"] > 0
+    assert result.faults["retries"] == 1099 * result.faults["ops_failed"]
+    assert result.ops_completed + result.fault_failed_ops + result.vanished_ops == len(trace)
 
 
 def test_typed_failure_after_retry_budget():

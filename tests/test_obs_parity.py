@@ -1,15 +1,20 @@
 """Observability must be passive: tracing/metrics on == off, bit for bit.
 
-Spans and metrics draw no RNG values and schedule no events, so a fully
-instrumented run must produce the same SimResult headline numbers as an
-uninstrumented one — and the disabled path must stay cheap.
+Spans and metrics draw no RNG values and schedule no events, and no run
+decision reads them, so a fully instrumented run must produce the same
+SimResult as an uninstrumented one — and the disabled path must stay cheap.
 """
 
 import pytest
 
 from repro.balancers import LunulePolicy
+from repro.bench.scenario import DATAPATH
 from repro.costmodel import CostParams
 from repro.fs import SimConfig, run_simulation
+from repro.fs.elastic import AutoscaleSpec, ScaleEvent
+from repro.fs.faults import Crash, FaultSchedule, Slowdown
+from repro.harness.config import get_scale
+from repro.harness.experiments import build_workload, make_policy
 from repro.obs import JsonlTracer, Observability
 from repro.sim import SeedSequenceFactory
 from repro.workloads import generate_trace_rw
@@ -116,6 +121,65 @@ def test_timeline_and_slo_do_not_perturb_the_run():
         assert eb.duration_ms == et.duration_ms
         assert (eb.busy_ms == et.busy_ms).all()
         assert (eb.qps == et.qps).all()
+
+
+def _elastic(policy, **kw):
+    if policy == "schedule":
+        kw["events"] = (ScaleEvent(1, "join", 2), ScaleEvent(4, "drain", 1))
+    return AutoscaleSpec(
+        policy=policy, min_mds=1, max_mds=4, warmup_ms=2.0, cooldown_epochs=1,
+        scale_out_util=0.5, scale_in_util=0.35, **kw,
+    )
+
+
+#: feature configurations, each run once bare and once fully observed
+PARITY_CASES = {
+    "lunule": {},
+    "lunule-crash-slowdown": {"faults": FaultSchedule([
+        Crash(mds=1, start_ms=10.0, end_ms=25.0, warmup_ms=15.0, warmup_factor=3.0),
+        Slowdown(mds=0, start_ms=5.0, end_ms=40.0, factor=3.0),
+    ])},
+    "lunule-durable-crash": {
+        "faults": FaultSchedule([Crash(mds=0, start_ms=10.0, end_ms=30.0)]),
+        "durable": True,
+    },
+    "lunule-lease-cache": {"cache_mode": "lease"},
+    "lunule-datapath": {"datapath": DATAPATH},
+    "origami-smoke": {"strategy": "Origami"},
+    "elastic-threshold": {"kind": "diurnal", "autoscale": _elastic("threshold")},
+    "elastic-predictive": {"kind": "diurnal", "autoscale": _elastic("predictive")},
+    "elastic-schedule": {"kind": "diurnal", "autoscale": _elastic("schedule")},
+}
+
+
+def _observed_run(case, obs, data_dir):
+    opts = dict(PARITY_CASES[case])
+    kind = opts.pop("kind", "rw")
+    policy, _ = make_policy(opts.pop("strategy", "Lunule"), kind, get_scale("smoke"))
+    if opts.pop("durable", False):
+        opts["data_dir"] = data_dir
+    n_mds = 2 if "autoscale" in opts else 3
+    built, trace = build_workload(kind, 3000, seed=3)
+    config = SimConfig(
+        n_mds=n_mds, n_clients=30, epoch_ms=10.0, params=CostParams(cache_depth=2),
+        seed=3, obs=obs, **opts,
+    )
+    return run_simulation(built.tree, trace, policy, config).to_dict()
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_observation_never_steers_a_run(case, tmp_path):
+    """A run made with no Observability and one made with metrics, tracer,
+    audit and a timeline give the same result, apart from the timeline."""
+    bare = _observed_run(case, None, str(tmp_path / "bare"))
+    obs = Observability(
+        metrics=True, trace=True, audit=True, timeline=True, timeline_window_ms=2.0
+    )
+    observed = _observed_run(case, obs, str(tmp_path / "observed"))
+    assert obs.timeline.n_windows > 0 and len(obs.tracer.spans) > 0
+    assert bare.pop("timeline") is None
+    assert observed.pop("timeline") is not None
+    assert observed == bare
 
 
 def _faulted_durable_config(tmp_path, obs, subdir):

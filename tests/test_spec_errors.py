@@ -2,17 +2,34 @@
 
 The loaders raise ``ValueError`` (fault schedules, autoscale specs) or
 ``SloError`` (SLO specs) naming the bad field, and the CLI turns each into a
-one-line ``bad … spec`` message with exit status 2.
+one-line ``bad … spec`` message with exit status 2.  NaN, the infinities
+(but an ``end_ms`` of ``"inf"``), numbers too large for a float and
+fractional indices or counts are malformed too; a hypothesis property per
+loader checks generated JSON gives a valid spec or the typed error.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.fs.elastic import AutoscaleSpec
-from repro.fs.faults import FaultSchedule
+from repro.fs.faults import FaultSchedule, RetryPolicy
 from repro.obs.slo import SloError, SloSpec
+
+NAN, INF, HUGE = math.nan, math.inf, 10**400
+
+
+def _crash(**kw):
+    return {"kind": "crash", "mds": 0, "start_ms": 1.0, "end_ms": 10.0, **kw}
+
+
+def _objective(**kw):
+    return {"objectives": [{"name": "a", "metric": "p99_ms", "target": 1.0, **kw}]}
+
 
 #: (spec, the field the error must name)
 FAULT_SPECS = [
@@ -21,16 +38,41 @@ FAULT_SPECS = [
     ({"retry": []}, "'retry'"),
     ({"faults": [5]}, "'faults'"),
     ({"version": "2"}, "'version'"),
+    ({"faults": [{"kind": "slowdown", "mds": 0, "start_ms": 0.0, "end_ms": 10.0,
+                  "factor": NAN}]}, "factor"),
+    ({"faults": [_crash(mds=1.5)]}, "mds"),
+    ({"faults": [_crash(start_ms=NAN)]}, "start_ms"),
+    ({"faults": [_crash(end_ms=HUGE)]}, "end_ms"),
+    ({"faults": [_crash(warmup_factor=INF)]}, "warmup_factor"),
+    ({"faults": [{"kind": "rpc_delay", "mds": 0, "start_ms": 0.0, "end_ms": 10.0,
+                  "extra_ms": INF}]}, "extra_ms"),
+    ({"retry": {"max_attempts": INF}}, "max_attempts"),
+    ({"retry": {"max_attempts": 2.5}}, "max_attempts"),
+    ({"retry": {"backoff_max_ms": NAN}}, "backoff_max_ms"),
 ]
 AUTOSCALE_SPECS = [
     ([1], "'events'"),
     ({"min_mds": "x"}, "'min_mds'"),
     ({"events": [5]}, "'events'"),
     ({"policy": "schedule", "events": [{}]}, "'epoch'"),
+    ({"policy": "schedule", "events": [{"epoch": INF, "action": "join"}]}, "epoch"),
+    ({"policy": "schedule", "events": [{"epoch": 1.7, "action": "join", "count": 1.9}]},
+     "epoch"),
+    ({"policy": "schedule", "events": [{"epoch": 1, "action": "join", "count": 1.9}]},
+     "count"),
+    ({"warmup_factor": NAN}, "warmup_factor"),
+    ({"warmup_ms": INF}, "warmup_ms"),
+    ({"warmup_ms": HUGE}, "warmup_ms"),
 ]
 SLO_SPECS = [
     ({"objectives": [5]}, "objective"),
     ({"objectives": [{"name": "a", "metric": "p99_ms", "target": "x"}]}, "'target'"),
+    (_objective(burn_window=INF), "'burn_window'"),
+    (_objective(burn_window=2.5), "burn_window"),
+    (_objective(target=NAN), "'target'"),
+    (_objective(target=HUGE), "'target'"),
+    (_objective(burn_alert=NAN), "'burn_alert'"),
+    ({"objectives": [{"name": "a", "metric": "p99_ms", "target_ms": NAN}]}, "'target_ms'"),
 ]
 
 
@@ -103,3 +145,145 @@ def test_cli_exits_2_with_one_line(command, flag, spec, message, tmp_path, capsy
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_end_ms_inf_stays_legal():
+    schedule = FaultSchedule.from_dict({"faults": [_crash(end_ms="inf")]})
+    assert schedule.events[0].end_ms == INF and not schedule.events[0].restarts
+
+
+def test_backoff_keeps_its_bits_and_never_overflows():
+    policy = RetryPolicy(max_attempts=2000, backoff_max_ms=1e300)
+    for attempt in range(1, 1025):
+        assert policy.backoff_ms(attempt, 0.5) == (
+            min(policy.backoff_base_ms * 2.0 ** (attempt - 1), 1e300) * 1.25
+        )
+    assert policy.backoff_ms(1025, 0.5) == policy.backoff_ms(2000, 0.5) == 1e300 * 1.25
+
+
+# ------------------------------------------------------ generated inputs
+
+#: JSON scalars a hand-written spec could hold in any field
+_SCALARS = st.one_of(
+    st.sampled_from([NAN, INF, -INF, HUGE, 2**1024, None, True, False, "inf", "x", [], {}]),
+    st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 40.0).filter(lambda x: x != int(x)),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2))
+
+
+def _rarely(bad, good):
+    """``good`` seven times in eight, else ``bad``."""
+    return st.integers(0, 7).flatmap(lambda i: good if i else bad)
+
+
+def _objects(required, optional):
+    """Dicts of mostly good values: the ``required`` keys and some of the
+    ``optional`` ones; rarely any keys at all (a required one missing, an
+    unknown one present) or not a dict."""
+    required = {k: _rarely(_VALUES, v) for k, v in required.items()}
+    optional = {k: _rarely(_VALUES, v) for k, v in optional.items()}
+    some = st.fixed_dictionaries({}, optional={**required, **optional, "bogus": _VALUES})
+    full = st.fixed_dictionaries(required, optional=optional)
+    return _rarely(_VALUES, _rarely(some, full))
+
+
+_MS = st.floats(0.0, 50.0)
+_FAULT_EVENTS = st.one_of(*(
+    _objects(
+        {"kind": st.just(kind), "mds": st.integers(0, 2), "start_ms": _MS,
+         "end_ms": st.floats(60.0, 200.0) | st.just("inf"), **required},
+        optional,
+    )
+    for kind, required, optional in (
+        ("slowdown", {}, {"factor": st.floats(1.0, 5.0)}),
+        ("crash", {}, {"warmup_ms": _MS, "warmup_factor": st.floats(1.0, 5.0)}),
+        ("rpc_drop", {"probability": st.floats(0.01, 1.0)}, {}),
+        ("rpc_delay", {"extra_ms": st.floats(0.01, 1.0)}, {}),
+        ("partition", {}, {}),
+    )
+))
+_FAULT_SPECS = _objects({}, {
+    "version": st.just(1),
+    "retry": _objects({}, {
+        "rpc_timeout_ms": st.floats(0.1, 10.0), "backoff_base_ms": st.floats(0.0, 1.0),
+        "backoff_max_ms": st.floats(1.0, 10.0), "max_attempts": st.integers(1, 2000),
+        "jitter": st.floats(0.0, 1.0),
+    }),
+    "faults": st.lists(_FAULT_EVENTS, min_size=1, max_size=3),
+})
+
+_SCALE_EVENTS = _objects(
+    {"epoch": st.integers(0, 5), "action": st.sampled_from(["join", "drain"])},
+    {"count": st.integers(1, 2)},
+)
+_AUTOSCALE_SPECS = _objects({}, {
+    "schema_version": st.just(1),
+    "policy": st.sampled_from(["threshold", "predictive", "schedule"]),
+    "min_mds": st.integers(1, 2), "max_mds": st.integers(2, 5),
+    "warmup_ms": _MS, "warmup_factor": st.floats(1.0, 5.0),
+    "cooldown_epochs": st.integers(0, 3), "horizon_epochs": st.integers(1, 4),
+    "scale_out_util": st.floats(0.5, 1.0), "scale_in_util": st.floats(0.01, 0.49),
+    "events": st.lists(_SCALE_EVENTS, min_size=1, max_size=3),
+})
+
+_OBJECTIVES = _objects(
+    {"name": st.sampled_from(["a", "b"]),
+     "metric": st.sampled_from(["p99_ms", "cache_hit_rate"]),
+     "target": st.floats(0.0, 100.0)},
+    {"target_ms": st.floats(0.0, 100.0), "error_budget": st.floats(0.01, 1.0),
+     "burn_window": st.integers(1, 10), "burn_alert": st.floats(0.1, 5.0)},
+)
+_SLO_SPECS = _objects(
+    {"objectives": st.lists(_OBJECTIVES, min_size=1, max_size=2)},
+    {"name": st.sampled_from(["slo", "x"])},
+)
+
+
+def _strict_round_trip(spec, load):
+    """A valid spec is strict JSON (no NaN, no infinity) and loads back equal."""
+    text = json.dumps(spec.to_dict(), allow_nan=False)
+    assert load(json.loads(text)) == spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAULT_SPECS)
+def test_generated_fault_schedules_load_or_fail_typed(data):
+    try:
+        schedule = FaultSchedule.from_dict(data)
+    except ValueError:
+        return
+    _strict_round_trip(schedule, FaultSchedule.from_dict)
+    assert all(type(e.mds) is int for e in schedule)
+    assert type(schedule.retry.max_attempts) is int
+    try:
+        schedule.validate(3)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_AUTOSCALE_SPECS)
+def test_generated_autoscale_specs_load_or_fail_typed(data):
+    try:
+        spec = AutoscaleSpec.from_dict(data)
+    except ValueError:
+        return
+    _strict_round_trip(spec, AutoscaleSpec.from_dict)
+    assert all(type(e.epoch) is int and type(e.count) is int for e in spec.events)
+    try:
+        spec.validate(2)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SLO_SPECS)
+def test_generated_slo_specs_load_or_fail_typed(data):
+    try:
+        spec = SloSpec.from_dict(data)
+    except SloError:
+        return
+    _strict_round_trip(spec, SloSpec.from_dict)
+    assert all(type(o.burn_window) is int for o in spec.objectives)
