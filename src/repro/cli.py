@@ -389,6 +389,21 @@ def _cmd_simulate(args) -> int:
         except (OSError, SloError) as exc:
             print(f"repro simulate: bad SLO spec: {exc}", file=sys.stderr)
             return 2
+    n_mds = args.mds if args.strategy != "Single" else 1
+    # a spec that loads may still not fit this cluster: the initial pool
+    # outside the autoscale bounds, a fault on an MDS the pool lacks
+    if autoscale is not None:
+        try:
+            autoscale.validate(n_mds)
+        except ValueError as exc:
+            print(f"repro simulate: bad autoscale spec: {exc}", file=sys.stderr)
+            return 2
+    if faults is not None:
+        try:
+            faults.validate(autoscale.max_mds if autoscale is not None else n_mds)
+        except ValueError as exc:
+            print(f"repro simulate: bad fault schedule: {exc}", file=sys.stderr)
+            return 2
     epoch_ms = args.epoch_ms if args.epoch_ms is not None else scale.epoch_ms
     want_metrics = args.metrics_out is not None or args.prom_out is not None
     want_timeline = args.timeline_out is not None or slo_spec is not None
@@ -410,7 +425,7 @@ def _cmd_simulate(args) -> int:
         else None
     )
     config = SimConfig(
-        n_mds=args.mds if args.strategy != "Single" else 1,
+        n_mds=n_mds,
         n_clients=args.clients,
         epoch_ms=epoch_ms,
         params=CostParams(cache_depth=args.cache_depth),

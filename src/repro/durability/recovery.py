@@ -70,8 +70,6 @@ class RecoveryReport:
 
 def _load_tables(store, manifest: Manifest, report: RecoveryReport) -> None:
     """Install guards and reload live runs per the manifest's version state."""
-    from repro.kvstore.lsm import _Guard
-
     state = manifest.state
     for level, los in sorted(state.guards.items()):
         if not 1 <= level < store.max_levels:
@@ -79,7 +77,7 @@ def _load_tables(store, manifest: Manifest, report: RecoveryReport) -> None:
                 f"guards recorded at level {level}, outside this store's "
                 f"1..{store.max_levels - 1}"
             )
-        store.levels[level] = [_Guard(lo) for lo in sorted(los)]
+        store.install_guards(level, sorted(los))
     guard_by_lo = {
         (level, g.lo): g for level in range(1, store.max_levels) for g in store.levels[level]
     }

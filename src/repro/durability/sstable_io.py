@@ -44,12 +44,10 @@ def write_sstable(
 
     Returns the file size in bytes.
     """
+    pack = _U32.pack
     parts: List[bytes] = [_HEADER.pack(SST_MAGIC, SST_FORMAT_VERSION, len(entries))]
     for k, v in entries:
-        parts.append(_U32.pack(len(k)))
-        parts.append(k)
-        parts.append(_U32.pack(len(v)))
-        parts.append(v)
+        parts += (pack(len(k)), k, pack(len(v)), v)
     blob = b"".join(parts)
     blob += _U32.pack(zlib.crc32(blob))
     tmp = path + ".tmp"

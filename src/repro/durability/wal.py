@@ -54,6 +54,9 @@ WAL_FORMAT_VERSION = 1
 
 _SEG_HEADER = struct.Struct("<4sIQ")  # magic, version, first_lsn
 _REC_HEADER = struct.Struct("<II")  # crc32, payload length
+_REC_LEAD = struct.Struct("<IBI")  # payload length, then the payload's type, klen
+_TYPE_KLEN = struct.Struct("<BI")
+_U32 = struct.Struct("<I")
 _SEG_NAME = re.compile(r"^wal-(\d{6})\.log$")
 
 #: payload type tags
@@ -76,23 +79,27 @@ class WalRecord(NamedTuple):
 
 def encode_record(rec_type: int, key: bytes, value: bytes) -> bytes:
     """Frame one record (header + payload) ready for appending."""
-    payload = struct.pack("<BI", rec_type, len(key)) + key + struct.pack("<I", len(value)) + value
-    body = struct.pack("<I", len(payload)) + payload
-    return struct.pack("<I", zlib.crc32(body)) + body
+    klen = len(key)
+    vlen = len(value)
+    body = b"".join(
+        (_REC_LEAD.pack(_TYPE_KLEN.size + klen + _U32.size + vlen, rec_type, klen),
+         key, _U32.pack(vlen), value)
+    )
+    return _U32.pack(zlib.crc32(body)) + body
 
 
 def _decode_payload(payload: bytes) -> Tuple[int, bytes, bytes]:
     """Parse a CRC-validated payload; raises ValueError on malformed layout."""
     if len(payload) < 5:
         raise ValueError("payload shorter than its fixed fields")
-    rec_type, klen = struct.unpack_from("<BI", payload, 0)
-    off = 5
-    if off + klen + 4 > len(payload):
+    rec_type, klen = _TYPE_KLEN.unpack_from(payload, 0)
+    off = _TYPE_KLEN.size
+    if off + klen + _U32.size > len(payload):
         raise ValueError("key length exceeds payload")
     key = payload[off : off + klen]
     off += klen
-    (vlen,) = struct.unpack_from("<I", payload, off)
-    off += 4
+    (vlen,) = _U32.unpack_from(payload, off)
+    off += _U32.size
     if off + vlen != len(payload):
         raise ValueError("value length does not close the payload")
     return rec_type, key, payload[off : off + vlen]
@@ -325,13 +332,14 @@ class WalWriter:
             return 0
         if self._fh is None:
             self._open_segment()
-        self._fh.write(b"".join(self._batch))
+        blob = b"".join(self._batch)
+        self._fh.write(blob)
         self._fh.flush()
         if self.use_fsync:
             os.fsync(self._fh.fileno())
         if self.stats is not None:
             self.stats.fsyncs += 1
-        self._seg_size += sum(len(b) for b in self._batch)
+        self._seg_size += len(blob)
         self._batch = []
         self._batch_records = 0
         self.durable_lsn = self.next_lsn - 1

@@ -157,6 +157,8 @@ class FaultInjector:
         fs = self.fs
         now = fs.env.now
         sched = self.schedule
+        if fs.servers[mds].up and sched.network_clear(mds, now):
+            return None
         if sched.partitioned(mds, now):
             wait = self.retry.rpc_timeout_ms
             self.rpc_timeouts += 1

@@ -8,6 +8,13 @@ schedule is *pure data*: every query (``partitioned``, ``slowdown_factor``,
 deterministic — the only RNG the fault layer touches are the dedicated
 seeded streams the injector owns (drop coin flips, backoff jitter).
 
+The queries run on every hold and every RPC of a faulted run, so the
+schedule indexes its events by (kind, MDS) when it is built, and each query
+reads only that MDS's events of its kind, in schedule order.
+:meth:`FaultSchedule.network_clear` answers the common case of the
+injector's RPC gate, an MDS with none of its partition, drop or delay
+windows open, from the same index.
+
 Event kinds
 -----------
 
@@ -201,12 +208,33 @@ class RetryPolicy:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+#: the event kinds the queries read, each indexed per MDS
+_QUERIED = (Slowdown, Partition, RpcDrop, RpcDelay)
+#: the kinds that act on an RPC's network leg
+_NETWORK = (Partition, RpcDrop, RpcDelay)
+
+
 class FaultSchedule:
-    """An ordered set of fault events plus the client retry policy."""
+    """An ordered set of fault events plus the client retry policy.
+
+    ``events`` is fixed at construction: the per-MDS index the queries read
+    is built from it then."""
 
     def __init__(self, events: Sequence[FaultEvent] = (), retry: Optional[RetryPolicy] = None):
         self.events: List[FaultEvent] = sorted(events, key=lambda e: (e.start_ms, e.mds))
         self.retry = retry if retry is not None else RetryPolicy()
+        index: Dict[Tuple[type, int], List[FaultEvent]] = {}
+        network: Dict[int, List[FaultEvent]] = {}
+        for e in self.events:
+            for kind in _QUERIED:
+                if isinstance(e, kind):
+                    index.setdefault((kind, e.mds), []).append(e)
+            if isinstance(e, _NETWORK):
+                network.setdefault(e.mds, []).append(e)
+        #: (kind, mds) -> that MDS's events of that kind, in schedule order
+        self._index = {key: tuple(evs) for key, evs in index.items()}
+        #: mds -> its partition, drop and delay events, in schedule order
+        self._network = {mds: tuple(evs) for mds, evs in network.items()}
 
     def __len__(self) -> int:
         return len(self.events)
@@ -247,29 +275,37 @@ class FaultSchedule:
         edge, and :meth:`~repro.fs.server.MdsServer.admit` takes the larger
         of the two factors."""
         f = 1.0
-        for e in self.events:
-            if e.mds == mds and isinstance(e, Slowdown) and e.active(now):
-                f = max(f, e.factor)
+        for e in self._index.get((Slowdown, mds), ()):
+            if e.start_ms <= now < e.end_ms and e.factor > f:
+                f = e.factor
         return f
 
     def partitioned(self, mds: int, now: float) -> bool:
-        return any(
-            e.mds == mds and isinstance(e, Partition) and e.active(now) for e in self.events
-        )
+        for e in self._index.get((Partition, mds), ()):
+            if e.start_ms <= now < e.end_ms:
+                return True
+        return False
 
     def drop_probability(self, mds: int, now: float) -> float:
         p = 0.0
-        for e in self.events:
-            if e.mds == mds and isinstance(e, RpcDrop) and e.active(now):
-                p = max(p, e.probability)
+        for e in self._index.get((RpcDrop, mds), ()):
+            if e.start_ms <= now < e.end_ms and e.probability > p:
+                p = e.probability
         return p
 
     def extra_delay_ms(self, mds: int, now: float) -> float:
         return sum(
-            e.extra_ms
-            for e in self.events
-            if e.mds == mds and isinstance(e, RpcDelay) and e.active(now)
+            e.extra_ms for e in self._index.get((RpcDelay, mds), ()) if e.start_ms <= now < e.end_ms
         )
+
+    def network_clear(self, mds: int, now: float) -> bool:
+        """True when none of the partition, drop or delay windows of ``mds``
+        covers ``now``: an RPC to it then goes through unimpeded if the
+        server is up."""
+        for e in self._network.get(mds, ()):
+            if e.start_ms <= now < e.end_ms:
+                return False
+        return True
 
     def crash_edges(self) -> List[Tuple[float, str, Crash]]:
         """Chronological ``(time, "crash"|"restart", event)`` control points."""

@@ -246,12 +246,9 @@ class MdsServer:
         return out
 
     # ------------------------------------------------------------- kv store
-    def _accrue_durability(self, mutate, span) -> None:
-        """Run one store mutation, pricing its WAL work into pending cost."""
-        stats = self.store.stats
-        bytes_before = stats.wal_bytes
-        fsyncs_before = stats.fsyncs
-        mutate()
+    def _accrue_durability(self, stats, bytes_before: int, fsyncs_before: int, span) -> None:
+        """Price the WAL work of the store mutation just made (the growth of
+        ``stats`` since the counts before it) into pending cost."""
         delta_bytes = stats.wal_bytes - bytes_before
         cost = self.durability.append_cost_ms(delta_bytes)
         cost += self.durability.sync_cost_ms(stats.fsyncs - fsyncs_before)
@@ -268,20 +265,30 @@ class MdsServer:
         return cost
 
     def kv_put(self, key: bytes, value: bytes, span=None) -> None:
-        if self.store is None:
+        store = self.store
+        if store is None:
             return
-        if self.durability is not None and self.store.backend is not None:
-            self._accrue_durability(lambda: self.store.put(key, value), span)
-        else:
-            self.store.put(key, value)
+        if self.durability is None or store.backend is None:
+            store.put(key, value)
+            return
+        stats = store.stats
+        bytes_before = stats.wal_bytes
+        fsyncs_before = stats.fsyncs
+        store.put(key, value)
+        self._accrue_durability(stats, bytes_before, fsyncs_before, span)
 
     def kv_delete(self, key: bytes, span=None) -> None:
-        if self.store is None:
+        store = self.store
+        if store is None:
             return
-        if self.durability is not None and self.store.backend is not None:
-            self._accrue_durability(lambda: self.store.delete(key), span)
-        else:
-            self.store.delete(key)
+        if self.durability is None or store.backend is None:
+            store.delete(key)
+            return
+        stats = store.stats
+        bytes_before = stats.wal_bytes
+        fsyncs_before = stats.fsyncs
+        store.delete(key)
+        self._accrue_durability(stats, bytes_before, fsyncs_before, span)
 
     def kv_get(self, key: bytes, span=None) -> Optional[bytes]:
         if self.store is None:

@@ -11,13 +11,19 @@ structure:
   runs; when exceeded, the guard's runs merge into one and spill to the same
   guard one level down.
 
+Each level keeps its guards' lo-keys as a sorted list, installed once with
+the guards (here, or by recovery), so routing a key to its guard is one
+bisect: a point ``get`` probes one guard per level, a compaction splits its
+output at the guard boundaries, and a ``scan`` visits only the guards whose
+range meets ``[lo, hi)``.
+
 Statistics (:class:`StoreStats`) count seeks, run probes, merges, and bytes
 rewritten so benchmarks can report read/write amplification.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -127,6 +133,8 @@ class LSMStore:
         self.level0: List[SSTable] = []  # newest first
         # levels[i] for i>=1: sorted list of guards by lo key
         self.levels: List[List[_Guard]] = [[] for _ in range(max_levels)]
+        #: guard_los[i]: the lo-keys of levels[i], the list every lookup bisects
+        self.guard_los: List[List[bytes]] = [[] for _ in range(max_levels)]
         self.stats = StoreStats()
         # durability attachment (None = purely in-memory, the seed behavior)
         self.backend = None
@@ -186,6 +194,11 @@ class LSMStore:
         self._flush()
 
     # -------------------------------------------------------------- compaction
+    def install_guards(self, level: int, los: List[bytes]) -> None:
+        """Install the guards of ``level`` from their sorted lo-keys."""
+        self.levels[level] = [_Guard(lo) for lo in los]
+        self.guard_los[level] = list(los)
+
     def _guards_for(self, level: int, keys: List[bytes]) -> None:
         """Create guards at ``level`` if absent, seeded by key-space samples."""
         if self.levels[level]:
@@ -195,14 +208,9 @@ class LSMStore:
         step = max(1, len(keys) // n)
         los = sorted({keys[i] for i in range(0, len(keys), step)})
         los[0] = b""  # first guard catches everything from the left
-        self.levels[level] = [_Guard(lo) for lo in los]
+        self.install_guards(level, los)
         if self.backend is not None:
             self.backend.note_guards(level, los)
-
-    def _guard_index(self, level: int, key: bytes) -> int:
-        guards = self.levels[level]
-        los = [g.lo for g in guards]
-        return max(0, bisect.bisect_right(los, key) - 1)
 
     def _compact_level0(self) -> None:
         """Merge all level-0 runs and partition the result into level-1 guards."""
@@ -216,21 +224,21 @@ class LSMStore:
         if not merged:
             return
         self.stats.bytes_compacted += sum(len(k) + len(v) for k, v in merged)
-        self._guards_for(1, [k for k, _ in merged])
         self._push_into_level(1, merged)
 
     def _push_into_level(self, level: int, entries: List[Tuple[bytes, bytes]]) -> None:
+        keys = [k for k, _ in entries]
+        self._guards_for(level, keys)
         guards = self.levels[level]
-        if not guards:
-            self._guards_for(level, [k for k, _ in entries])
-            guards = self.levels[level]
-        # split entries by guard
-        buckets: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        for k, v in entries:
-            buckets.setdefault(self._guard_index(level, k), []).append((k, v))
-        for gi, bucket in buckets.items():
-            guard = guards[gi]
-            run = SSTable(bucket)
+        los = self.guard_los[level]
+        # entries are sorted: each guard takes the slice up to the next lo
+        start = 0
+        for gi, guard in enumerate(guards):
+            end = bisect_left(keys, los[gi + 1], start) if gi + 1 < len(los) else len(keys)
+            if end == start:
+                continue
+            run = SSTable(entries[start:end])
+            start = end
             guard.runs.insert(0, run)
             if self.backend is not None:
                 self.backend.edit_add(level, guard.lo, run)
@@ -260,25 +268,33 @@ class LSMStore:
 
     # --------------------------------------------------------------- read path
     def get(self, key: bytes) -> Optional[bytes]:
-        self.stats.gets += 1
+        stats = self.stats
+        stats.gets += 1
         v = self.mem.get(key)
         if v is not None:
             return None if v == TOMBSTONE else v
-        for run in self.level0:
-            self.stats.runs_probed += 1
-            v = run.get(key)
-            if v is not None:
-                return None if v == TOMBSTONE else v
-        for level in range(1, self.max_levels):
-            guards = self.levels[level]
-            if not guards:
-                continue
-            guard = guards[self._guard_index(level, key)]
-            for run in guard.runs:
-                self.stats.runs_probed += 1
-                v = run.get(key)
-                if v is not None:
-                    return None if v == TOMBSTONE else v
+        h = hash(key)
+        probes = 0
+        for level in range(self.max_levels):
+            if level == 0:
+                runs = self.level0
+            else:
+                los = self.guard_los[level]
+                if not los:
+                    continue
+                gi = bisect_right(los, key) - 1
+                runs = self.levels[level][gi if gi > 0 else 0].runs
+            for run in runs:
+                probes += 1
+                # the run's key range and filter, inline: most probes end here
+                if run.min_key <= key <= run.max_key and h in run._filter:
+                    keys = run._keys
+                    i = bisect_left(keys, key)
+                    if i < len(keys) and keys[i] == key:
+                        stats.runs_probed += probes
+                        v = run._values[i]
+                        return None if v == TOMBSTONE else v
+        stats.runs_probed += probes
         return None
 
     def contains(self, key: bytes) -> bool:
@@ -292,7 +308,10 @@ class LSMStore:
         sources: List[Iterator[Tuple[bytes, bytes]]] = [self.mem.scan(lo, hi)]
         sources.extend(r.scan(lo, hi) for r in self.level0 if r.overlaps(lo, hi))
         for level in range(1, self.max_levels):
-            for guard in self.levels[level]:
+            los = self.guard_los[level]
+            # the guards whose [lo_i, lo_i+1) meets [lo, hi)
+            first = max(0, bisect_right(los, lo) - 1)
+            for guard in self.levels[level][first:bisect_left(los, hi)]:
                 for run in guard.runs:
                     if run.overlaps(lo, hi):
                         sources.append(run.scan(lo, hi))

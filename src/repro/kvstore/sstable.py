@@ -9,6 +9,8 @@ filter would).
 from __future__ import annotations
 
 import bisect
+from itertools import islice
+from operator import ge
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["SSTable", "merge_runs"]
@@ -24,14 +26,14 @@ class SSTable:
         if not entries:
             raise ValueError("SSTable cannot be empty")
         keys = [k for k, _ in entries]
-        if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
+        if any(map(ge, keys, islice(keys, 1, None))):
             raise ValueError("SSTable entries must be strictly sorted by key")
         self._keys: List[bytes] = keys
         self._values: List[bytes] = [v for _, v in entries]
-        self._filter = frozenset(hash(k) for k in keys)
+        self._filter = frozenset(map(hash, keys))
         self.min_key = keys[0]
         self.max_key = keys[-1]
-        self.size_bytes = sum(len(k) + len(v) for k, v in entries)
+        self.size_bytes = sum(map(len, keys)) + sum(map(len, self._values))
         # set by the durability backend when this run is persisted on disk
         self.file_number: Optional[int] = None
 

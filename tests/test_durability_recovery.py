@@ -143,7 +143,8 @@ def test_orphan_sstable_is_ignored(tmp_path):
     for i in range(10):
         s.put(b"k%d" % i, b"v")
     s.close()
-    # simulate a crash between persist_run (1) and manifest commit (2):
+    # simulate a crash between writing a run's file (1) and the manifest
+    # commit (2):
     # an .sst file exists that no manifest edit references
     from repro.durability.sstable_io import sstable_path, write_sstable
 
@@ -151,6 +152,60 @@ def test_orphan_sstable_is_ignored(tmp_path):
     write_sstable(orphan, [(b"ghost", b"boo")], use_fsync=False)
     s2 = open_store(d, options=OPTS, memtable_limit=4)
     assert s2.get(b"ghost") is None
+    s2.close()
+
+
+def test_crash_inside_a_flush_leaves_no_file_for_its_runs(tmp_path):
+    """A crash after a flush's ``edit_add`` calls but before its commit: the
+    reopened store holds exactly the acked prefix, and no file exists for
+    the runs that flush created."""
+    d = str(tmp_path / "d")
+    sst = os.path.join(d, "sst")
+    shape = dict(memtable_limit=4, level0_limit=1, runs_per_guard=1, max_levels=3)
+    s = open_store(d, options=DurabilityOptions(use_fsync=False, group_commit_records=3),
+                   **shape)
+    acked = {}
+    for i in range(36):  # nine committed flushes: level 0 is left one run
+        s.put(b"k%03d" % i, b"a%d" % i)
+        acked[b"k%03d" % i] = b"a%d" % i
+    s.sync()
+    live_before = set(os.listdir(sst))
+    backend = s.backend
+    base_lsn = backend.wal.durable_lsn
+
+    class Crashed(Exception):
+        pass
+
+    added = []
+    real_add = backend.edit_add
+
+    def edit_add(level, guard_lo, run):
+        real_add(level, guard_lo, run)
+        added.append(run.file_number)
+
+    def commit(flush_lsn):
+        # the WAL records synced by now are the acked ones
+        acked_lsns.append(backend.wal.durable_lsn)
+        s.crash()
+        raise Crashed
+
+    acked_lsns = []
+    backend.edit_add = edit_add
+    backend.commit = commit
+    writes = []
+    with pytest.raises(Crashed):
+        for i in range(40):
+            k, v = b"k%03d" % (i * 7 % 50), b"b%d" % i
+            writes.append((k, v))
+            s.put(k, v)
+    assert len(added) > 1  # the flush compacted: its level-0 run was superseded
+    for k, v in writes[: acked_lsns[0] - base_lsn]:
+        acked[k] = v
+    s2 = open_store(d, options=OPTS, **shape)
+    assert live(s2) == acked
+    for number in added:
+        assert not os.path.exists(os.path.join(sst, f"{number:08d}.sst"))
+    assert set(os.listdir(sst)) == live_before
     s2.close()
 
 

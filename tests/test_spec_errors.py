@@ -2,7 +2,8 @@
 
 The loaders raise ``ValueError`` (fault schedules, autoscale specs) or
 ``SloError`` (SLO specs) naming the bad field, and the CLI turns each into a
-one-line ``bad … spec`` message with exit status 2.  NaN, the infinities
+one-line ``bad … spec`` message with exit status 2, as it does for a spec
+that loads but does not fit the cluster.  NaN, the infinities
 (but an ``end_ms`` of ``"inf"``), numbers too large for a float and
 fractional indices or counts are malformed too; a hypothesis property per
 loader checks generated JSON gives a valid spec or the typed error.
@@ -64,6 +65,12 @@ AUTOSCALE_SPECS = [
     ({"warmup_ms": INF}, "warmup_ms"),
     ({"warmup_ms": HUGE}, "warmup_ms"),
 ]
+#: (flag, spec, message): specs that load but do not fit the 2-MDS cluster
+#: the CLI rows run
+UNFIT_SPECS = [
+    ("--faults", {"faults": [_crash(mds=5)]}, "crash targets unknown MDS 5"),
+    ("--autoscale", {"min_mds": 3, "max_mds": 4}, "outside autoscale bounds [3, 4]"),
+]
 SLO_SPECS = [
     ({"objectives": [5]}, "objective"),
     ({"objectives": [{"name": "a", "metric": "p99_ms", "target": "x"}]}, "'target'"),
@@ -114,6 +121,8 @@ def _cli_cases():
         yield "obs slo", "--faults", spec, "bad fault schedule"
     for spec, _ in AUTOSCALE_SPECS:
         yield "simulate", "--autoscale", spec, "bad autoscale spec"
+    for flag, spec, message in UNFIT_SPECS:
+        yield "simulate", flag, spec, message
     for spec, _ in SLO_SPECS:
         yield "simulate", "--slo", spec, "bad SLO spec"
         yield "obs slo", None, spec, "bad SLO spec"
