@@ -21,7 +21,8 @@ Commands:
   per-window tables, ASCII per-MDS load heatmaps, and SLO verdicts
   (``obs slo`` exits 1 on breach, for CI gating);
 * ``recover <data_dir>`` — read-only inspection of durable store
-  directories: MANIFEST state, WAL tail to replay, modeled recovery cost;
+  directories by recovery's own read pass (every live SSTable is
+  CRC-checked): MANIFEST state, WAL tail to replay, modeled recovery cost;
 * ``plan <workload>`` — run Meta-OPT as an offline planner and print the
   migration plan;
 * ``bench run|list|compare|report`` — the perf-tracking subsystem: run a
@@ -700,7 +701,6 @@ def _cmd_obs_slo(args) -> int:
 
 def _cmd_recover(args) -> int:
     import os
-    from types import SimpleNamespace
 
     from repro.durability import DurabilityError, inspect_data_dir
     from repro.sim import DurabilityCostModel
@@ -722,15 +722,11 @@ def _cmd_recover(args) -> int:
     total_ms = 0.0
     for store_dir in stores:
         try:
-            info = inspect_data_dir(store_dir)
+            report, info = inspect_data_dir(store_dir)
         except DurabilityError as exc:
             print(f"repro recover: {store_dir}: {exc}", file=sys.stderr)
             return 1
-        cost = model.recovery_cost_ms(SimpleNamespace(
-            wal_bytes_scanned=info["wal_bytes"],
-            sst_bytes_loaded=info["sst_bytes"],
-            manifest_edits=info["manifest_edits"],
-        ))
+        cost = model.recovery_cost_ms(report)
         info["modeled_recovery_ms"] = cost
         total_ms += cost
         reports.append(info)

@@ -48,13 +48,13 @@ folds into ``rng_streams``.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.durability.atomic import write_atomic
 from repro.durability.errors import CheckpointError
 from repro.namespace.tree import NamespaceTree
 
@@ -143,12 +143,7 @@ class SimCheckpoint:
             "crc": zlib.crc32(_canonical(payload)),
             "checkpoint": payload,
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(frame, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(frame).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "SimCheckpoint":

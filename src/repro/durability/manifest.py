@@ -17,9 +17,11 @@ Edit kinds:
   WAL replay may start after it.
 
 Replaying the edits in order rebuilds the exact level/guard/run structure
-including recency (a later ``add`` into the same guard is a newer run).  On
-open the log is replayed, then atomically rewritten as a compacted snapshot
-(temp file + ``os.replace``) so it cannot grow without bound.
+including recency (a later ``add`` into the same guard is a newer run).
+:meth:`Manifest.read` replays the log and writes nothing; once recovery
+has accepted the directory, :meth:`Manifest.open` atomically rewrites it
+as a compacted snapshot (temp file + ``os.replace``) so it cannot grow
+without bound.
 
 Torn-tail tolerance mirrors the WAL: a malformed **last** line is the
 expected residue of a crash mid-append and is dropped (the edit was never
@@ -37,6 +39,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.durability.atomic import write_atomic
 from repro.durability.errors import ManifestError
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "VersionState", "Manifest"]
@@ -151,33 +154,6 @@ class VersionState:
         return edits
 
 
-def _replay_lines(path: str) -> VersionState:
-    state = VersionState()
-    # binary read: a bit-flipped byte may not even be valid UTF-8, and that
-    # must surface as a ManifestError on its line, not a UnicodeDecodeError
-    with open(path, "rb") as f:
-        raw = f.read()
-    lines = raw.split(b"\n")
-    # drop the empty trailer a well-formed file ends with
-    if lines and lines[-1] == b"":
-        lines.pop()
-    last = len(lines) - 1
-    for i, line in enumerate(lines):
-        where = f"{path}:{i + 1}"
-        try:
-            framed = json.loads(line.decode("utf-8"))
-            crc = framed["c"]
-            edit = framed["e"]
-            if zlib.crc32(_canonical(edit).encode("utf-8")) != crc:
-                raise ValueError("edit CRC mismatch")
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
-            if i == last:
-                break  # torn tail of an interrupted append: the edit never acked
-            raise ManifestError(f"{where}: {exc}") from None
-        state.apply(edit, where)
-    return state
-
-
 class Manifest:
     """Writer handle over the store's MANIFEST file."""
 
@@ -189,33 +165,51 @@ class Manifest:
         self._fh = None
 
     # --------------------------------------------------------------- opening
-    @classmethod
-    def open(cls, dir_path: str, use_fsync: bool = True) -> "Manifest":
-        """Replay (or create) the MANIFEST and rewrite it compacted."""
+    @staticmethod
+    def read(dir_path: str) -> VersionState:
+        """Replay the MANIFEST (an empty state when there is none); writes
+        nothing."""
         path = os.path.join(dir_path, MANIFEST_NAME)
-        state = _replay_lines(path) if os.path.exists(path) else VersionState()
+        state = VersionState()
+        if not os.path.exists(path):
+            return state
+        # binary read: a bit-flipped byte may not even be valid UTF-8, and that
+        # must surface as a ManifestError on its line, not a UnicodeDecodeError
+        with open(path, "rb") as f:
+            raw = f.read()
+        lines = raw.split(b"\n")
+        # drop the empty trailer a well-formed file ends with
+        if lines and lines[-1] == b"":
+            lines.pop()
+        last = len(lines) - 1
+        for i, line in enumerate(lines):
+            where = f"{path}:{i + 1}"
+            try:
+                framed = json.loads(line.decode("utf-8"))
+                crc = framed["c"]
+                edit = framed["e"]
+                if zlib.crc32(_canonical(edit).encode("utf-8")) != crc:
+                    raise ValueError("edit CRC mismatch")
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError,
+                    ValueError) as exc:
+                if i == last:
+                    break  # torn tail of an interrupted append: the edit never acked
+                raise ManifestError(f"{where}: {exc}") from None
+            state.apply(edit, where)
+        return state
+
+    @classmethod
+    def open(cls, dir_path: str, state: VersionState, use_fsync: bool = True) -> "Manifest":
+        """Atomically rewrite the MANIFEST as a compacted snapshot of
+        ``state`` (what :meth:`read` replayed) and return its writer."""
         m = cls(dir_path, state, use_fsync=use_fsync)
-        m._rewrite()
+        snapshot = "".join(_frame(edit) + "\n" for edit in state.snapshot_edits())
+        write_atomic(m.path, snapshot.encode("utf-8"), use_fsync)
         return m
 
     @classmethod
     def exists(cls, dir_path: str) -> bool:
         return os.path.exists(os.path.join(dir_path, MANIFEST_NAME))
-
-    def _rewrite(self) -> None:
-        """Atomically replace the log with a compacted snapshot of state."""
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            for edit in self.state.snapshot_edits():
-                f.write(_frame(edit))
-                f.write("\n")
-            f.flush()
-            if self.use_fsync:
-                os.fsync(f.fileno())
-        os.replace(tmp, self.path)
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
     # --------------------------------------------------------------- editing
     def log(self, edit: Dict[str, Any]) -> None:

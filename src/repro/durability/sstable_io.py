@@ -9,10 +9,11 @@ Format (single file per run, ``<data_dir>/sst/<number:08d>.sst``)::
 The whole file is read and CRC-verified before any entry is trusted, so a
 bit flip anywhere surfaces as a typed
 :class:`~repro.durability.errors.SSTableCorruptionError` instead of a
-half-loaded run.  Writes go through a temp file + ``os.replace`` so a crash
-mid-write can never leave a plausible-looking partial table under the final
-name (the MANIFEST additionally never references a table before its file is
-durable).
+half-loaded run.  Writes go through
+:func:`~repro.durability.atomic.write_atomic` (temp file + ``os.replace``)
+so a crash mid-write can never leave a plausible-looking partial table
+under the final name (the MANIFEST additionally never references a table
+before its file is durable).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import struct
 import zlib
 from typing import List, Sequence, Tuple
 
+from repro.durability.atomic import write_atomic
 from repro.durability.errors import SSTableCorruptionError
 from repro.kvstore.sstable import SSTable
 
@@ -50,13 +52,7 @@ def write_sstable(
         parts += (pack(len(k)), k, pack(len(v)), v)
     blob = b"".join(parts)
     blob += _U32.pack(zlib.crc32(blob))
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-        f.flush()
-        if use_fsync:
-            os.fsync(f.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, blob, use_fsync)
     return len(blob)
 
 

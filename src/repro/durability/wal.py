@@ -149,15 +149,22 @@ def scan_segments(wal_dir: str) -> List[_Segment]:
 def replay_wal(wal_dir: str, start_lsn: int = 0) -> WalReplay:
     """Decode every record with ``lsn > start_lsn``, tolerating a torn tail.
 
-    Raises :class:`WalCorruptionError` for damage in sealed segments or an
-    LSN gap between segments; any other malformation is confined to the
-    final segment and reported via ``torn_tail``.
+    Every segment must continue the LSN sequence: it may not start below
+    the LSN after the previous segment's last record (1 for the first
+    segment), and it may start above it only over LSNs that ``start_lsn``,
+    the MANIFEST checkpoint, covers.  Those records are in SSTables, and a
+    store reopened after a crash continues past them (``truncate_upto``
+    retires a segment only once a later one exists, so the segment before
+    such a jump can stay).  Raises :class:`WalCorruptionError` when a
+    segment breaks this rule or a sealed segment is damaged; any other
+    malformation is confined to the final segment and reported via
+    ``torn_tail``.
     """
     out = WalReplay()
     segs = scan_segments(wal_dir)
     if not segs:
         return out
-    expected_lsn: Optional[int] = None
+    next_lsn = 1
     final_seq = segs[-1].seq
     for seg in segs:
         is_final = seg.seq == final_seq
@@ -186,17 +193,15 @@ def replay_wal(wal_dir: str, start_lsn: int = 0) -> WalReplay:
                 continue
         if version != WAL_FORMAT_VERSION:
             raise WalCorruptionError(f"{seg.path}: unsupported WAL version {version}")
-        if expected_lsn is not None and first_lsn != expected_lsn:
+        if first_lsn < next_lsn:
             raise WalCorruptionError(
-                f"{seg.path}: first LSN {first_lsn} leaves a gap (expected {expected_lsn})"
+                f"{seg.path}: first LSN {first_lsn} goes back before LSN {next_lsn}"
             )
-        if expected_lsn is None and first_lsn > start_lsn + 1:
-            # truncate_upto only retires segments fully covered by the
-            # checkpoint, so the first surviving segment must reach back to
-            # start_lsn + 1; starting later means a segment was lost
+        uncovered = max(next_lsn, start_lsn + 1)
+        if first_lsn > uncovered:
             raise WalCorruptionError(
                 f"{seg.path}: first LSN {first_lsn} implies records "
-                f"{start_lsn + 1}..{first_lsn - 1} are missing"
+                f"{uncovered}..{first_lsn - 1} are missing"
             )
         lsn = first_lsn
         off = _SEG_HEADER.size
@@ -234,13 +239,8 @@ def replay_wal(wal_dir: str, start_lsn: int = 0) -> WalReplay:
             off = end
             if is_final:
                 out.final_valid_bytes = off
-        else:
-            expected_lsn = lsn
-            continue
-        # inner loop broke on a torn tail: later records are unreachable
-        expected_lsn = lsn
-        if out.torn_tail:
-            break
+        # a torn tail broke the loop only in the final segment
+        next_lsn = lsn
     return out
 
 

@@ -74,9 +74,7 @@ class MdsServer:
         if not use_kvstore:
             self.store: Optional[LSMStore] = None
         elif data_dir is not None:
-            self.store = LSMStore.open(
-                data_dir, memtable_limit=512, sync_listener=self._on_group_commit
-            )
+            self.store = self._open_store()
         else:
             self.store = LSMStore(memtable_limit=512)
         # busy time this epoch (reset by drain_epoch)
@@ -105,6 +103,14 @@ class MdsServer:
     def _on_group_commit(self, batch_records: int) -> None:
         self._m_group_commit.observe(batch_records)
 
+    def _open_store(self, stats=None) -> LSMStore:
+        """Open (or recover) the durable store in ``data_dir``."""
+        # imported here: only durable runs load the durability package
+        from repro.durability import open_store
+
+        return open_store(self.data_dir, memtable_limit=512, stats=stats,
+                          sync_listener=self._on_group_commit)
+
     # ------------------------------------------------------------ fault hooks
     def attach_faults(self, injector) -> None:
         """Install the run's fault injector view (slowdowns, crash checks)."""
@@ -125,12 +131,7 @@ class MdsServer:
         if self.store is not None and self.store.backend is not None:
             stats = self.store.stats  # counter continuity across incarnations
             self.store.crash()
-            self.store = LSMStore.open(
-                self.data_dir,
-                memtable_limit=512,
-                stats=stats,
-                sync_listener=self._on_group_commit,
-            )
+            self.store = self._open_store(stats)
             self._crash_recovery = self.store.last_recovery
             self._pending_durability_ms = 0.0
 

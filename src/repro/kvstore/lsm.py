@@ -11,8 +11,9 @@ structure:
   runs; when exceeded, the guard's runs merge into one and spill to the same
   guard one level down.
 
-Each level keeps its guards' lo-keys as a sorted list, installed once with
-the guards (here, or by recovery), so routing a key to its guard is one
+Each level keeps two lists in guard order, installed once with the guards
+(here, or by recovery): the guards' lo-keys, sorted, and each guard's runs.
+A guard is its position in them, so routing a key to its guard is one
 bisect: a point ``get`` probes one guard per level, a compaction splits its
 output at the guard boundaries, and a ``scan`` visits only the guards whose
 range meets ``[lo, hi)``.
@@ -101,16 +102,6 @@ class StoreStats:
         }
 
 
-class _Guard:
-    """A key-range bucket within a level holding overlapping runs (newest first)."""
-
-    __slots__ = ("lo", "runs")
-
-    def __init__(self, lo: bytes):
-        self.lo = lo
-        self.runs: List[SSTable] = []
-
-
 class LSMStore:
     """Guarded LSM store with point get/put/delete and ordered range scans."""
 
@@ -131,26 +122,16 @@ class LSMStore:
         self.max_levels = max_levels
         self.mem = MemTable()
         self.level0: List[SSTable] = []  # newest first
-        # levels[i] for i>=1: sorted list of guards by lo key
-        self.levels: List[List[_Guard]] = [[] for _ in range(max_levels)]
-        #: guard_los[i]: the lo-keys of levels[i], the list every lookup bisects
+        #: guard_los[i] for i>=1: the guards' lo-keys, sorted (every lookup
+        #: bisects it); levels[i]: each guard's runs (newest first), in the
+        #: same order
         self.guard_los: List[List[bytes]] = [[] for _ in range(max_levels)]
+        self.levels: List[List[List[SSTable]]] = [[] for _ in range(max_levels)]
         self.stats = StoreStats()
-        # durability attachment (None = purely in-memory, the seed behavior)
+        # durability attachment (None = purely in-memory, the seed behavior);
+        # repro.durability.open_store attaches it and the recovery report
         self.backend = None
-        self.backend_dir: Optional[str] = None
         self.last_recovery = None
-
-    @classmethod
-    def open(cls, data_dir: str, options=None, stats=None, sync_listener=None, **lsm_kwargs):
-        """Open a durable store rooted at ``data_dir``, recovering any prior
-        state (WAL replay + MANIFEST/SSTable reload).  See
-        :func:`repro.durability.recovery.open_store`."""
-        from repro.durability.recovery import open_store
-
-        return open_store(
-            data_dir, options=options, stats=stats, sync_listener=sync_listener, **lsm_kwargs
-        )
 
     # ------------------------------------------------------------- write path
     def put(self, key: bytes, value: bytes) -> None:
@@ -195,9 +176,9 @@ class LSMStore:
 
     # -------------------------------------------------------------- compaction
     def install_guards(self, level: int, los: List[bytes]) -> None:
-        """Install the guards of ``level`` from their sorted lo-keys."""
-        self.levels[level] = [_Guard(lo) for lo in los]
+        """Install the (empty) guards of ``level`` from their sorted lo-keys."""
         self.guard_los[level] = list(los)
+        self.levels[level] = [[] for _ in los]
 
     def _guards_for(self, level: int, keys: List[bytes]) -> None:
         """Create guards at ``level`` if absent, seeded by key-space samples."""
@@ -229,40 +210,41 @@ class LSMStore:
     def _push_into_level(self, level: int, entries: List[Tuple[bytes, bytes]]) -> None:
         keys = [k for k, _ in entries]
         self._guards_for(level, keys)
-        guards = self.levels[level]
         los = self.guard_los[level]
         # entries are sorted: each guard takes the slice up to the next lo
         start = 0
-        for gi, guard in enumerate(guards):
+        for gi, runs in enumerate(self.levels[level]):
             end = bisect_left(keys, los[gi + 1], start) if gi + 1 < len(los) else len(keys)
             if end == start:
                 continue
             run = SSTable(entries[start:end])
             start = end
-            guard.runs.insert(0, run)
+            runs.insert(0, run)
             if self.backend is not None:
-                self.backend.edit_add(level, guard.lo, run)
-            if len(guard.runs) > self.runs_per_guard:
-                self._compact_guard(level, guard)
+                self.backend.edit_add(level, los[gi], run)
+            if len(runs) > self.runs_per_guard:
+                self._compact_guard(level, gi)
 
-    def _compact_guard(self, level: int, guard: _Guard) -> None:
-        """Merge a guard's runs; spill the result one level down (or rewrite in
-        place at the bottom, dropping tombstones)."""
+    def _compact_guard(self, level: int, gi: int) -> None:
+        """Merge the runs of guard ``gi``; spill the result one level down (or
+        rewrite in place at the bottom, dropping tombstones)."""
         self.stats.compactions += 1
+        runs = self.levels[level][gi]
+        lo = self.guard_los[level][gi]
         at_bottom = level >= self.max_levels - 1
-        merged = merge_runs(guard.runs, drop_tombstones=at_bottom)
+        merged = merge_runs(runs, drop_tombstones=at_bottom)
         self.stats.bytes_compacted += sum(len(k) + len(v) for k, v in merged)
         if self.backend is not None:
-            for run in guard.runs:
-                self.backend.edit_remove(level, guard.lo, run)
-        guard.runs = []
+            for run in runs:
+                self.backend.edit_remove(level, lo, run)
+        runs.clear()
         if not merged:
             return
         if at_bottom:
             run = SSTable(merged)
-            guard.runs = [run]
+            runs.append(run)
             if self.backend is not None:
-                self.backend.edit_add(level, guard.lo, run)
+                self.backend.edit_add(level, lo, run)
         else:
             self._push_into_level(level + 1, merged)
 
@@ -283,7 +265,7 @@ class LSMStore:
                 if not los:
                     continue
                 gi = bisect_right(los, key) - 1
-                runs = self.levels[level][gi if gi > 0 else 0].runs
+                runs = self.levels[level][gi if gi > 0 else 0]
             for run in runs:
                 probes += 1
                 # the run's key range and filter, inline: most probes end here
@@ -311,8 +293,8 @@ class LSMStore:
             los = self.guard_los[level]
             # the guards whose [lo_i, lo_i+1) meets [lo, hi)
             first = max(0, bisect_right(los, lo) - 1)
-            for guard in self.levels[level][first:bisect_left(los, hi)]:
-                for run in guard.runs:
+            for runs in self.levels[level][first:bisect_left(los, hi)]:
+                for run in runs:
                     if run.overlaps(lo, hi):
                         sources.append(run.scan(lo, hi))
         for src in sources:  # newest source first wins
@@ -336,7 +318,7 @@ class LSMStore:
         """Clean shutdown: sync the WAL tail and release file handles.
 
         The memtable is *not* flushed — its contents live in the WAL and are
-        replayed by the next :meth:`open`, which keeps close cheap and keeps
+        replayed by the next ``open_store``, which keeps close cheap and keeps
         the recovery path exercised on every clean reopen."""
         if self.backend is None:
             return
@@ -345,7 +327,7 @@ class LSMStore:
     def crash(self) -> None:
         """Simulate a process crash: unacknowledged (unsynced) writes vanish.
 
-        The store object is unusable afterwards; reopen via :meth:`open`."""
+        The store object is unusable afterwards; reopen with ``open_store``."""
         if self.backend is None:
             return
         self.backend.crash()
@@ -358,6 +340,6 @@ class LSMStore:
     def run_count(self) -> int:
         n = len(self.level0)
         for level in range(1, self.max_levels):
-            for guard in self.levels[level]:
-                n += len(guard.runs)
+            for runs in self.levels[level]:
+                n += len(runs)
         return n

@@ -62,9 +62,8 @@ class DurabilityCostModel:
     def recovery_cost_ms(self, report) -> float:
         """Warm-up time implied by one recovery's work.
 
-        ``report`` is a :class:`repro.durability.recovery.RecoveryReport`
-        (anything with ``wal_bytes_scanned`` / ``sst_bytes_loaded`` /
-        ``manifest_edits`` attributes works).
+        ``report`` is the :class:`repro.durability.recovery.RecoveryReport`
+        of one recovery's read pass.
         """
         return (
             self.restart_fixed_ms

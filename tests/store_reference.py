@@ -5,10 +5,12 @@ indexed per MDS.
 Kept as the reference of ``tests/test_store_differential.py``: the earlier
 ``repro.kvstore`` (memtable, SSTable, ``merge_runs``, ``LSMStore``), the
 earlier ``DurableBackend`` (each run's file written and fsynced at its
-``edit_add``), the WAL and SSTable codecs, ``open_store``, and the
-``FaultSchedule`` queries with the ``rpc_gate`` that read them.  Classes the
-change left alone (``StoreStats``, ``Manifest``, ``RecoveryReport``, the
-options, the errors) are imported from ``repro``.
+``edit_add``), the WAL and SSTable codecs, ``open_store`` (which rewrites
+the MANIFEST before it reads the tables) and ``replay_wal`` (which refuses
+any LSN jump between two segments, even one the MANIFEST checkpoint
+covers), and the ``FaultSchedule`` queries with the ``rpc_gate`` that read
+them.  Classes whose bytes stayed the same (``StoreStats``, ``Manifest``,
+``RecoveryReport``, the options, the errors) are imported from ``repro``.
 """
 
 from __future__ import annotations
@@ -841,7 +843,7 @@ def open_store(data_dir: str, options: Optional[DurabilityOptions] = None, stats
     store.backend_dir = data_dir
     report = RecoveryReport()
 
-    manifest = Manifest.open(data_dir, use_fsync=options.use_fsync)
+    manifest = Manifest.open(data_dir, Manifest.read(data_dir), use_fsync=options.use_fsync)
     report.manifest_edits = manifest.state.edits_applied
     _load_tables(store, manifest, report)
 

@@ -9,8 +9,13 @@ from repro.durability.errors import ManifestError
 from repro.durability.manifest import MANIFEST_NAME, Manifest, VersionState, _canonical
 
 
+def reopen(path):
+    """Replay the MANIFEST and open its writer, as recovery does."""
+    return Manifest.open(str(path), Manifest.read(str(path)), use_fsync=False)
+
+
 def test_fresh_open_writes_header_only(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     assert m.state.tables == {} and m.state.guards == {}
     lines = (tmp_path / MANIFEST_NAME).read_text().splitlines()
     assert len(lines) == 1
@@ -18,7 +23,7 @@ def test_fresh_open_writes_header_only(tmp_path):
 
 
 def test_edits_roundtrip_through_reopen(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     m.log_guards(1, [b"", b"m"])
     m.log_add(0, None, 1, 100)
     m.log_add(1, b"", 2, 50)
@@ -26,7 +31,7 @@ def test_edits_roundtrip_through_reopen(tmp_path):
     m.log_checkpoint(40)
     m.commit()
     m.close()
-    m2 = Manifest.open(str(tmp_path), use_fsync=False)
+    m2 = reopen(tmp_path)
     s = m2.state
     assert s.guards == {1: [b"", b"m"]}
     assert s.tables == {(0, None): [1], (1, b""): [2], (1, b"m"): [3]}
@@ -36,7 +41,7 @@ def test_edits_roundtrip_through_reopen(tmp_path):
 
 
 def test_reopen_compacts_add_remove_churn(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     for i in range(1, 21):
         m.log_add(0, None, i, 10)
     for i in range(1, 20):
@@ -45,27 +50,27 @@ def test_reopen_compacts_add_remove_churn(tmp_path):
     m.close()
     lines_before = len((tmp_path / MANIFEST_NAME).read_text().splitlines())
     assert lines_before == 1 + 39  # header + every edit appended
-    m2 = Manifest.open(str(tmp_path), use_fsync=False)
+    m2 = reopen(tmp_path)
     assert m2.state.tables == {(0, None): [20]}
     lines_after = len((tmp_path / MANIFEST_NAME).read_text().splitlines())
     assert lines_after == 2  # header + the one surviving add
 
 
 def test_recency_order_survives_compaction(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     for f in (1, 2, 3):  # 3 added last => newest
         m.log_add(1, b"", f, 10)
     m.commit()
     m.close()
-    m2 = Manifest.open(str(tmp_path), use_fsync=False)
+    m2 = reopen(tmp_path)
     assert m2.state.tables[(1, b"")] == [3, 2, 1]  # newest first
     m2.close()
-    m3 = Manifest.open(str(tmp_path), use_fsync=False)  # compacted twice
+    m3 = reopen(tmp_path)  # compacted twice
     assert m3.state.tables[(1, b"")] == [3, 2, 1]
 
 
 def test_pending_edits_invisible_until_commit(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     m.log_add(0, None, 1, 10)
     # state applies immediately; the file does not until commit()
     assert m.state.tables == {(0, None): [1]}
@@ -78,17 +83,17 @@ def test_pending_edits_invisible_until_commit(tmp_path):
 
 
 def test_crash_drops_pending_edits(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     m.log_add(0, None, 1, 10)
     m.commit()
     m.log_add(0, None, 2, 10)
     m.crash()  # edit 2 was never acked
-    m2 = Manifest.open(str(tmp_path), use_fsync=False)
+    m2 = reopen(tmp_path)
     assert m2.state.tables == {(0, None): [1]}
 
 
 def test_torn_last_line_tolerated(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     m.log_add(0, None, 1, 10)
     m.log_add(0, None, 2, 10)
     m.commit()
@@ -97,12 +102,12 @@ def test_torn_last_line_tolerated(tmp_path):
     raw = path.read_text().splitlines()
     raw[-1] = raw[-1][: len(raw[-1]) // 2]  # tear the final line mid-JSON
     path.write_text("\n".join(raw))  # no trailing newline either
-    m2 = Manifest.open(str(tmp_path), use_fsync=False)
+    m2 = reopen(tmp_path)
     assert m2.state.tables == {(0, None): [1]}
 
 
 def test_corrupt_middle_line_raises_typed(tmp_path):
-    m = Manifest.open(str(tmp_path), use_fsync=False)
+    m = reopen(tmp_path)
     m.log_add(0, None, 1, 10)
     m.log_add(0, None, 2, 10)
     m.commit()
@@ -112,7 +117,7 @@ def test_corrupt_middle_line_raises_typed(tmp_path):
     lines[1] = lines[1].replace('"add"', '"adX"', 1)  # CRC now mismatches
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ManifestError):
-        Manifest.open(str(tmp_path), use_fsync=False)
+        Manifest.read(str(tmp_path))
 
 
 def test_valid_frame_with_unknown_edit_type_raises(tmp_path):
@@ -128,7 +133,7 @@ def test_valid_frame_with_unknown_edit_type_raises(tmp_path):
     # the bad edit must not be the last line (that would read as torn tail)
     path.write_text(framed + "\n" + gframed + "\n")
     with pytest.raises(ManifestError):
-        Manifest.open(str(tmp_path), use_fsync=False)
+        Manifest.read(str(tmp_path))
 
 
 def test_newer_schema_version_rejected(tmp_path):
@@ -143,7 +148,7 @@ def test_newer_schema_version_rejected(tmp_path):
                          sort_keys=True, separators=(",", ":"))
     path.write_text(framed + "\n" + tframed + "\n")
     with pytest.raises(ManifestError):
-        Manifest.open(str(tmp_path), use_fsync=False)
+        Manifest.read(str(tmp_path))
 
 
 def test_remove_of_non_live_file_raises():

@@ -10,13 +10,13 @@ import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.durability import DurabilityOptions, inspect_data_dir, open_store
 from repro.durability.errors import (
     ManifestError,
     SSTableCorruptionError,
 )
 from repro.durability.wal import _SEG_HEADER, encode_record, scan_segments
-from repro.kvstore import LSMStore
 
 OPTS = DurabilityOptions(use_fsync=False)
 
@@ -324,7 +324,7 @@ def test_inspect_data_dir_summary(tmp_path):
     for i in range(40):
         s.put(b"k%04d" % i, b"x" * 16)
     s.close()
-    info = inspect_data_dir(d)
+    report, info = inspect_data_dir(d)
     assert info["data_dir"] == d
     assert info["manifest_edits"] > 0
     assert info["live_tables"] > 0
@@ -332,7 +332,7 @@ def test_inspect_data_dir_summary(tmp_path):
     assert info["wal_last_lsn"] == 40
     assert info["torn_tail"] is False
     # inspection is read-only: a second call sees identical state
-    assert inspect_data_dir(d) == info
+    assert inspect_data_dir(d) == (report, info)
 
 
 def test_inspect_empty_dir_raises_typed(tmp_path):
@@ -340,11 +340,92 @@ def test_inspect_empty_dir_raises_typed(tmp_path):
         inspect_data_dir(str(tmp_path))
 
 
-def test_lsmstore_open_classmethod_delegates(tmp_path):
+def directory_bytes(d):
+    out = {}
+    for root, _, names in os.walk(d):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, d)] = f.read()
+    return out
+
+
+@pytest.mark.parametrize("shape", [
+    dict(memtable_limit=1000),  # WAL only
+    dict(memtable_limit=4),
+    dict(memtable_limit=3, runs_per_guard=1, level0_limit=1, max_levels=4),
+])
+def test_inspect_numbers_are_the_following_recovery_report(tmp_path, shape):
     d = str(tmp_path / "d")
-    s = LSMStore.open(d, options=OPTS)
-    s.put(b"a", b"1")
-    s.close()
-    s2 = LSMStore.open(d, options=OPTS)
-    assert s2.get(b"a") == b"1"
+    s = open_store(d, options=DurabilityOptions(use_fsync=False, group_commit_records=3),
+                   **shape)
+    for i in range(90):
+        s.put(b"k%03d" % (i * 7 % 60), b"v%d" % i)
+        if i % 4 == 0:
+            s.delete(b"k%03d" % (i * 11 % 60))
+    s.crash()
+    before = directory_bytes(d)
+    report, info = inspect_data_dir(d)
+    assert directory_bytes(d) == before
+    s2 = open_store(d, options=OPTS, **shape)
+    assert report == s2.last_recovery
+    assert (info["manifest_edits"], info["live_tables"], info["sst_bytes"],
+            info["wal_segments"], info["wal_bytes"], info["wal_records_pending"],
+            info["torn_tail"]) == (
+        report.manifest_edits, report.tables_loaded, report.sst_bytes_loaded,
+        report.wal_segments_scanned, report.wal_bytes_scanned,
+        report.wal_records_replayed, report.torn_tail,
+    )
     s2.close()
+
+
+@pytest.mark.parametrize("damage", ["deleted", "flipped"])
+def test_recover_refuses_what_recovery_refuses(tmp_path, capsys, damage):
+    """A live SSTable deleted or bit-flipped: ``inspect_data_dir`` raises the
+    error ``open_store`` raises, ``repro recover`` exits 1 with one line,
+    and the refused ``open_store`` leaves the directory as it was."""
+    d = str(tmp_path / "d")
+    s = open_store(d, options=OPTS, memtable_limit=4)
+    for i in range(60):
+        s.put(b"k%04d" % i, b"x" * 16)
+    s.close()
+    sst_dir = os.path.join(d, "sst")
+    victim = os.path.join(sst_dir, sorted(os.listdir(sst_dir))[-1])
+    if damage == "deleted":
+        os.unlink(victim)
+    else:
+        blob = bytearray(open(victim, "rb").read())
+        blob[len(blob) // 2] ^= 0x01
+        open(victim, "wb").write(bytes(blob))
+    before = directory_bytes(d)
+    with pytest.raises(SSTableCorruptionError) as inspected:
+        inspect_data_dir(d)
+    with pytest.raises(SSTableCorruptionError) as opened:
+        open_store(d, options=OPTS, memtable_limit=4)
+    assert str(inspected.value) == str(opened.value)
+    assert directory_bytes(d) == before  # the MANIFEST was not rewritten
+    capsys.readouterr()
+    assert main(["recover", d]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and str(opened.value) in err
+
+
+def test_reopen_over_an_lsn_jump_the_checkpoint_covers(tmp_path):
+    """A flush checkpoints WAL records that were never synced, the store
+    crashes, and the reopened writer continues past them in a new segment
+    while the segment before the jump stays: the next reopen must accept
+    the jump, since the MANIFEST checkpoint covers every skipped LSN."""
+    d = str(tmp_path / "d")
+    opts = DurabilityOptions(segment_bytes=32, group_commit_records=2, use_fsync=False)
+    shape = dict(memtable_limit=1, level0_limit=0)
+    s = open_store(d, options=opts, **shape)
+    for k in (b"k0", b"k1", b"k2"):
+        s.put(k, b"v")
+    s.crash()
+    s = open_store(d, options=opts, **shape)
+    s.delete(b"k0")
+    s.close()
+    s = open_store(d, options=opts, **shape)
+    assert live(s) == {b"k1": b"v", b"k2": b"v"}
+    s.close()

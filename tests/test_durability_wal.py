@@ -233,6 +233,30 @@ def test_lsn_gap_between_segments_raises_typed(tmp_path):
     os.unlink(segs[1].path)  # a missing middle segment leaves an LSN gap
     with pytest.raises(WalCorruptionError):
         replay_wal(str(tmp_path / "wal"))
+    # but the same jump is legitimate when the checkpoint covers the hole
+    # (a store reopened after a crash continues past checkpointed LSNs)
+    with open(segs[2].path, "rb") as f:
+        first_lsn = struct.unpack("<4sIQ", f.read(16))[2]
+    replay = replay_wal(str(tmp_path / "wal"), start_lsn=first_lsn - 1)
+    assert [r.lsn for r in replay.records][0] == first_lsn
+
+
+@pytest.mark.parametrize("segment_bytes", [1 << 20, 64])
+def test_segment_starting_below_the_previous_end_raises_typed(tmp_path, segment_bytes):
+    # the last segment's header goes back one LSN; with one segment that is
+    # LSN 0, which would renumber the records and skip the first as
+    # checkpointed
+    w = make_writer(tmp_path, segment_bytes=segment_bytes, group_commit_records=1)
+    for i in range(8):
+        w.append(REC_PUT, b"key%02d" % i, b"value")
+    w.close()
+    path = scan_segments(str(tmp_path / "wal"))[-1].path
+    blob = bytearray(open(path, "rb").read())
+    magic, version, first_lsn = struct.unpack_from("<4sIQ", blob, 0)
+    struct.pack_into("<4sIQ", blob, 0, magic, version, first_lsn - 1)
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(WalCorruptionError):
+        replay_wal(str(tmp_path / "wal"))
 
 
 def test_missing_oldest_segment_raises_typed(tmp_path):
