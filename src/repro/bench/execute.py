@@ -79,7 +79,7 @@ def run_variant(
             faults=scenario.faults,
             obs=obs,
             data_dir=data_dir,
-            autoscale=variant.autoscale_spec(),
+            autoscale=variant.autoscale,
         ), obs
 
 

@@ -63,10 +63,9 @@ class BenchVariant:
     #: back every MDS with a durable store (WAL + SSTables + MANIFEST) in a
     #: run-scoped temporary directory; crashes then pay derived recovery
     durability: bool = False
-    #: elastic-pool policy as a canonical :meth:`AutoscaleSpec.to_json`
-    #: string (a string keeps the frozen dataclass hashable); None runs the
-    #: variant statically provisioned, exactly as before the field existed
-    autoscale: Optional[str] = None
+    #: elastic-pool policy; None runs the variant statically provisioned,
+    #: exactly as before the field existed
+    autoscale: Optional[AutoscaleSpec] = None
     #: after each ``open``/``create``, move the file body through the
     #: :data:`DATAPATH` data cluster (Fig 9's end-to-end runs)
     datapath: bool = False
@@ -78,11 +77,6 @@ class BenchVariant:
             raise ValueError("ops_factor must be positive")
         if self.cache_depth < 0:
             raise ValueError("cache_depth must be non-negative")
-        if self.autoscale is not None:
-            AutoscaleSpec.from_json(self.autoscale)  # fail at definition time
-
-    def autoscale_spec(self) -> Optional[AutoscaleSpec]:
-        return None if self.autoscale is None else AutoscaleSpec.from_json(self.autoscale)
 
     def to_dict(self) -> Dict[str, Any]:
         d = {
@@ -97,7 +91,7 @@ class BenchVariant:
         # keys present only on elastic / data-path variants: pre-existing
         # scenario artifacts keep their byte-identical config blocks
         if self.autoscale is not None:
-            d["autoscale"] = self.autoscale_spec().to_dict()
+            d["autoscale"] = self.autoscale.to_dict()
         if self.datapath:
             d["datapath"] = dict(DATAPATH)
         return d
@@ -374,16 +368,12 @@ register_scenario(
     )
 )
 
-#: the autoscaler configurations the elastic_diurnal frontier compares;
-#: canonical JSON so the variant dataclasses stay frozen/hashable
+#: the autoscaler configurations the elastic_diurnal frontier compares
 _ELASTIC_THRESHOLD = AutoscaleSpec(
     policy="threshold", min_mds=1, max_mds=4, warmup_ms=5.0, warmup_factor=2.0,
     cooldown_epochs=1, scale_out_util=0.5, scale_in_util=0.35,
-).to_json()
-_ELASTIC_PREDICTIVE = AutoscaleSpec(
-    policy="predictive", min_mds=1, max_mds=4, warmup_ms=5.0, warmup_factor=2.0,
-    cooldown_epochs=1, scale_out_util=0.5, scale_in_util=0.35, horizon_epochs=3,
-).to_json()
+)
+_ELASTIC_PREDICTIVE = replace(_ELASTIC_THRESHOLD, policy="predictive")
 
 register_scenario(
     BenchScenario(

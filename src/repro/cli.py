@@ -61,6 +61,27 @@ def _checked(kind: type, ok, bound: str):
     return convert
 
 
+class _BadInput(Exception):
+    """One line for stderr: :func:`main` prints it and exits 2."""
+
+
+def _load_spec(command: str, what: str, spec: type, path: Optional[str],
+               n_mds: Optional[int] = None):
+    """``spec.load(path)``, or None without a path; with ``n_mds`` the spec
+    must also fit a pool of that many MDSs (its ``validate``).  A file that
+    cannot be read or does not hold a fitting spec stops ``repro <command>``
+    with one ``bad <what>: …`` line and exit status 2."""
+    if not path:
+        return None
+    try:
+        loaded = spec.load(path)
+        if n_mds is not None:
+            loaded.validate(n_mds)
+        return loaded
+    except (OSError, ValueError) as exc:
+        raise _BadInput(f"repro {command}: bad {what}: {exc}") from None
+
+
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
@@ -351,8 +372,11 @@ def _cmd_simulate(args) -> int:
     from repro.costmodel import CostParams
     from repro.durability import Checkpointer, CheckpointError, SimCheckpoint
     from repro.fs import SimConfig
+    from repro.fs.elastic import AutoscaleSpec
+    from repro.fs.faults import FaultSchedule
     from repro.fs.filesystem import OrigamiFS
     from repro.obs import Observability
+    from repro.obs.slo import SloError, SloSpec, evaluate_slo
 
     try:
         scale = get_scale(args.scale)
@@ -363,48 +387,13 @@ def _cmd_simulate(args) -> int:
         args.kind, args.ops, args.seed, tree_scale=scale.tree_scale
     )
     policy, default_mds = make_policy(args.strategy, args.kind, scale)
-    faults = None
-    if args.faults_path:
-        from repro.fs.faults import FaultSchedule
-
-        try:
-            faults = FaultSchedule.load(args.faults_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro simulate: bad fault schedule: {exc}", file=sys.stderr)
-            return 2
-    autoscale = None
-    if args.autoscale_path:
-        from repro.fs.elastic import AutoscaleSpec
-
-        try:
-            autoscale = AutoscaleSpec.load(args.autoscale_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro simulate: bad autoscale spec: {exc}", file=sys.stderr)
-            return 2
-    slo_spec = None
-    if args.slo_path:
-        from repro.obs.slo import SloError, SloSpec
-
-        try:
-            slo_spec = SloSpec.load(args.slo_path)
-        except (OSError, SloError) as exc:
-            print(f"repro simulate: bad SLO spec: {exc}", file=sys.stderr)
-            return 2
     n_mds = args.mds if args.strategy != "Single" else 1
-    # a spec that loads may still not fit this cluster: the initial pool
-    # outside the autoscale bounds, a fault on an MDS the pool lacks
-    if autoscale is not None:
-        try:
-            autoscale.validate(n_mds)
-        except ValueError as exc:
-            print(f"repro simulate: bad autoscale spec: {exc}", file=sys.stderr)
-            return 2
-    if faults is not None:
-        try:
-            faults.validate(autoscale.max_mds if autoscale is not None else n_mds)
-        except ValueError as exc:
-            print(f"repro simulate: bad fault schedule: {exc}", file=sys.stderr)
-            return 2
+    # a spec that loads must also fit this cluster: the initial pool inside
+    # the autoscale bounds, every fault on an MDS the pool can have
+    autoscale = _load_spec("simulate", "autoscale spec", AutoscaleSpec, args.autoscale_path, n_mds)
+    faults = _load_spec("simulate", "fault schedule", FaultSchedule, args.faults_path,
+                        autoscale.max_mds if autoscale is not None else n_mds)
+    slo_spec = _load_spec("simulate", "SLO spec", SloSpec, args.slo_path)
     epoch_ms = args.epoch_ms if args.epoch_ms is not None else scale.epoch_ms
     want_metrics = args.metrics_out is not None or args.prom_out is not None
     want_timeline = args.timeline_out is not None or slo_spec is not None
@@ -547,8 +536,6 @@ def _cmd_simulate(args) -> int:
                 write_timeline_jsonl(args.timeline_out, tl.meta(), rows)
                 print(f"[timeline written to {args.timeline_out}]")
             if slo_spec is not None:
-                from repro.obs.slo import SloError, evaluate_slo
-
                 try:
                     report = evaluate_slo(rows, slo_spec, faults=faults)
                 except SloError as exc:
@@ -670,24 +657,17 @@ def _cmd_obs_heatmap(args) -> int:
 
 
 def _cmd_obs_slo(args) -> int:
+    from repro.fs.faults import FaultSchedule
     from repro.obs.slo import SloError, SloSpec, evaluate_slo
 
     loaded = _load_obs_timeline(args.timeline)
     if loaded is None:
         return 2
-    faults = None
-    if args.faults_path:
-        from repro.fs.faults import FaultSchedule
-
-        try:
-            faults = FaultSchedule.load(args.faults_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro obs slo: bad fault schedule: {exc}", file=sys.stderr)
-            return 2
+    faults = _load_spec("obs slo", "fault schedule", FaultSchedule, args.faults_path)
+    spec = _load_spec("obs slo", "SLO spec", SloSpec, args.spec)
     try:
-        spec = SloSpec.load(args.spec)
         report = evaluate_slo(loaded[1], spec, faults=faults)
-    except (OSError, SloError) as exc:
+    except SloError as exc:  # the timeline lacks an objective's metric
         print(f"repro obs slo: bad SLO spec: {exc}", file=sys.stderr)
         return 2
     print(report.render())
@@ -828,19 +808,25 @@ def _cmd_bench_list(args) -> int:
 
 
 def _cmd_bench_compare(args) -> int:
+    import math
+
     from repro.bench.compare import THRESHOLD_PROFILES, compare_artifacts
     from repro.bench.store import ArtifactError, load_artifact
 
     thresholds = dict(THRESHOLD_PROFILES[args.profile])
+    overrides = {}
     for override in args.threshold or ():
         metric, sep, frac = override.partition("=")
         try:
             if not sep:
                 raise ValueError("expected METRIC=FRAC")
             thresholds[metric] = float(frac)
+            if not 0.0 <= thresholds[metric] < math.inf:
+                raise ValueError("FRAC must be finite and >= 0")
         except ValueError as exc:
             print(f"repro bench compare: bad --threshold {override!r}: {exc}", file=sys.stderr)
             return 2
+        overrides[metric] = override
     try:
         baseline = load_artifact(args.baseline)
         candidate = load_artifact(args.candidate)
@@ -848,6 +834,13 @@ def _cmd_bench_compare(args) -> int:
     except ArtifactError as exc:
         print(f"repro bench compare: {exc}", file=sys.stderr)
         return 2
+    # an override that no compared row reads would gate nothing
+    compared = {row.metric for row in result.rows}
+    for metric, override in overrides.items():
+        if metric not in compared:
+            print(f"repro bench compare: bad --threshold {override!r}: "
+                  f"no variant in both artifacts carries {metric!r}", file=sys.stderr)
+            return 2
     print(result.render())
     return 0 if result.ok else 1
 
@@ -867,7 +860,11 @@ def _cmd_bench_report(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from repro.fs.elastic.liveness import (
     WARMING,
     MDSLiveness,
 )
-from repro.fs.elastic.spec import AUTOSCALE_SCHEMA_VERSION, AutoscaleSpec, ScaleEvent
+from repro.fs.elastic.spec import AutoscaleSpec, ScaleEvent
 
 __all__ = [
     "MDSLiveness",
@@ -25,7 +25,6 @@ __all__ = [
     "DRAINING",
     "GONE",
     "STATE_NAMES",
-    "AUTOSCALE_SCHEMA_VERSION",
     "AutoscaleSpec",
     "ScaleEvent",
     "MDSPoolController",

@@ -4,7 +4,7 @@ An :class:`AutoscaleSpec` is the JSON-round-trippable description of an
 elastic MDS pool — capacity bounds, warm-up model, and the policy that
 decides when the pool grows or shrinks.  It mirrors the fault framework's
 ``FaultSchedule``: frozen dataclasses, eager validation, a stable schema
-version, and ``to_json``/``from_json`` so a spec can live in a file and be
+version, and ``to_dict``/``load`` so a spec can live in a file and be
 passed to ``repro simulate --autoscale spec.json``.
 
 Three policies (``AutoscaleSpec.policy``):
@@ -25,30 +25,23 @@ Three policies (``AutoscaleSpec.policy``):
 
 The :class:`~repro.fs.elastic.controller.MDSPoolController` computes the
 pool-size delta from the spec and executes it under the bounds and the
-cooldown.  Numbers must be finite and indices and counts integers; a
-malformed spec raises ``ValueError`` naming the field.
+cooldown.  The strict spec loader (:mod:`repro.specs`) reads the JSON: a
+malformed spec raises ``ValueError`` naming the key.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field, fields
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
+
+from repro.specs import FLOAT_MAX, SPEC_VERSION, build_spec, read_json
 
 __all__ = [
-    "AUTOSCALE_SCHEMA_VERSION",
     "ScaleEvent",
     "AutoscaleSpec",
 ]
 
-AUTOSCALE_SCHEMA_VERSION = 1
-
 _POLICIES = ("threshold", "predictive", "schedule")
-
-#: the largest finite float: NaN, the infinities and integers too large for
-#: a float all fail a ``<= _FLOAT_MAX`` bound
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -69,16 +62,6 @@ class ScaleEvent:
 
     def to_dict(self) -> Dict:
         return {"epoch": self.epoch, "action": self.action, "count": self.count}
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "ScaleEvent":
-        """Parse one event; a missing or malformed field raises ValueError."""
-        try:
-            return cls(epoch=d["epoch"], action=d["action"], count=d.get("count", 1))
-        except KeyError as exc:
-            raise ValueError(f"scale event {d!r} needs {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad scale event {d!r} in 'events': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -112,9 +95,9 @@ class AutoscaleSpec:
             raise ValueError(
                 f"need 1 <= min_mds <= max_mds, got [{self.min_mds}, {self.max_mds}]"
             )
-        if not 0 <= self.warmup_ms <= _FLOAT_MAX:
+        if not 0 <= self.warmup_ms <= FLOAT_MAX:
             raise ValueError(f"warmup_ms must be finite and >= 0, got {self.warmup_ms!r}")
-        if not 1.0 <= self.warmup_factor <= _FLOAT_MAX:
+        if not 1.0 <= self.warmup_factor <= FLOAT_MAX:
             raise ValueError(f"warmup_factor must be finite and >= 1, got {self.warmup_factor!r}")
         if self.cooldown_epochs < 0:
             raise ValueError(f"cooldown_epochs must be >= 0, got {self.cooldown_epochs}")
@@ -140,55 +123,17 @@ class AutoscaleSpec:
 
     # ---------------------------------------------------------- round trip
     def to_dict(self) -> Dict:
-        d = {
-            "schema_version": AUTOSCALE_SCHEMA_VERSION,
-            "policy": self.policy,
-            "min_mds": self.min_mds,
-            "max_mds": self.max_mds,
-            "warmup_ms": self.warmup_ms,
-            "warmup_factor": self.warmup_factor,
-            "cooldown_epochs": self.cooldown_epochs,
-            "scale_out_util": self.scale_out_util,
-            "scale_in_util": self.scale_in_util,
-            "horizon_epochs": self.horizon_epochs,
-        }
+        d = {"schema_version": SPEC_VERSION}
+        d.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "events")
         if self.events:
             d["events"] = [e.to_dict() for e in self.events]
         return d
 
     @classmethod
-    def from_dict(cls, d: Dict) -> "AutoscaleSpec":
-        """Parse a spec; a malformed field raises ValueError naming it."""
-        if not isinstance(d, dict) or not isinstance(d.get("events", []), list):
-            raise ValueError(f"autoscale spec must be an object with an 'events' list: {d!r}")
-        version = d.get("schema_version", AUTOSCALE_SCHEMA_VERSION)
-        if version != AUTOSCALE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported autoscale schema version {version}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name == "events" or f.name not in d:
-                continue
-            # each scalar field's default has its type; a float field takes ints
-            value, kind = d[f.name], type(f.default)
-            ok = isinstance(value, (int, float) if kind is float else kind)
-            if isinstance(value, bool) or not ok:
-                raise ValueError(f"autoscale spec {f.name!r} must be {kind.__name__}: {value!r}")
-            kwargs[f.name] = value
-        events = tuple(ScaleEvent.from_dict(e) for e in d.get("events", ()))
-        return cls(events=events, **kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AutoscaleSpec":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_json() + "\n")
+    def from_dict(cls, d: Any) -> "AutoscaleSpec":
+        """Read a spec; a malformed one raises ValueError naming the key."""
+        return build_spec(cls, d, version_key="schema_version")
 
     @classmethod
     def load(cls, path: str) -> "AutoscaleSpec":
-        with open(path) as f:
-            return cls.from_json(f.read())
+        return cls.from_dict(read_json(path))

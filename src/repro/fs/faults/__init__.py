@@ -24,7 +24,6 @@ from repro.fs.faults.errors import (
 )
 from repro.fs.faults.injector import FaultInjector
 from repro.fs.faults.schedule import (
-    SCHEDULE_SCHEMA_VERSION,
     Crash,
     FaultEvent,
     FaultSchedule,
@@ -50,5 +49,4 @@ __all__ = [
     "MdsCrashedError",
     "RpcTimeoutError",
     "RpcDroppedError",
-    "SCHEDULE_SCHEMA_VERSION",
 ]

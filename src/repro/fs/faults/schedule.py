@@ -1,12 +1,13 @@
 """Declarative fault schedules: what goes wrong, where, and when.
 
 A :class:`FaultSchedule` is a plain list of window-scoped fault events plus
-the client-side :class:`RetryPolicy`, serialisable to/from JSON so a whole
-resilience experiment is one ``simulate --faults schedule.json`` flag.  The
-schedule is *pure data*: every query (``partitioned``, ``slowdown_factor``,
-…) is a function of ``(mds, now)`` only, which is what keeps fault runs
-deterministic — the only RNG the fault layer touches are the dedicated
-seeded streams the injector owns (drop coin flips, backoff jitter).
+the client-side :class:`RetryPolicy`, read from JSON by the strict spec
+loader (:mod:`repro.specs`) so a whole resilience experiment is one
+``simulate --faults schedule.json`` flag.  The schedule is *pure data*:
+every query (``partitioned``, ``slowdown_factor``, …) is a function of
+``(mds, now)`` only, which is what keeps fault runs deterministic — the
+only RNG the fault layer touches are the dedicated seeded streams the
+injector owns (drop coin flips, backoff jitter).
 
 The queries run on every hold and every RPC of a faulted run, so the
 schedule indexes its events by (kind, MDS) when it is built, and each query
@@ -33,11 +34,11 @@ Event kinds
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+from repro.specs import FLOAT_MAX, SPEC_VERSION, build_spec, read_json
 
 __all__ = [
     "FaultEvent",
@@ -48,39 +49,30 @@ __all__ = [
     "Partition",
     "RetryPolicy",
     "FaultSchedule",
-    "SCHEDULE_SCHEMA_VERSION",
 ]
-
-#: bump when the JSON schema changes incompatibly
-SCHEDULE_SCHEMA_VERSION = 1
-
-#: the largest finite float: NaN, the infinities and integers too large for
-#: a float all fail a ``<= _FLOAT_MAX`` bound
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """Base event: something bad happens to ``mds`` in ``[start_ms, end_ms)``."""
 
+    #: the event's JSON ``"kind"``
+    kind: ClassVar[str]
+
     mds: int
     start_ms: float
-    end_ms: float
+    end_ms: float = field(metadata={"inf": True})
 
     def __post_init__(self):
         if type(self.mds) is not int or self.mds < 0:
             raise ValueError(f"mds must be a non-negative integer, got {self.mds!r}")
-        if not 0 <= self.start_ms <= _FLOAT_MAX:
+        if not 0 <= self.start_ms <= FLOAT_MAX:
             raise ValueError(f"start_ms must be finite and non-negative, got {self.start_ms!r}")
-        if not (self.start_ms < self.end_ms <= _FLOAT_MAX or self.end_ms == math.inf):
+        if not (self.start_ms < self.end_ms <= FLOAT_MAX or self.end_ms == math.inf):
             raise ValueError(f"end_ms must be finite or inf and after start_ms, got {self.end_ms!r}")
 
     def active(self, now: float) -> bool:
         return self.start_ms <= now < self.end_ms
-
-    @property
-    def kind(self) -> str:
-        return _KIND_BY_TYPE[type(self)]
 
     def to_dict(self) -> Dict[str, Any]:
         d: Dict[str, Any] = {"kind": self.kind}
@@ -94,11 +86,12 @@ class FaultEvent:
 class Slowdown(FaultEvent):
     """Degrade ``mds`` by ``factor``x between ``start_ms`` and ``end_ms``."""
 
+    kind: ClassVar[str] = "slowdown"
     factor: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
-        if not 1.0 <= self.factor <= _FLOAT_MAX:
+        if not 1.0 <= self.factor <= FLOAT_MAX:
             raise ValueError(f"factor must be finite and >= 1 (a slowdown), got {self.factor!r}")
 
 
@@ -112,14 +105,15 @@ class Crash(FaultEvent):
     instead.  The injector arms the window on the server at the restart.
     """
 
+    kind: ClassVar[str] = "crash"
     warmup_ms: float = 0.0
     warmup_factor: float = 2.0
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 <= self.warmup_ms <= _FLOAT_MAX:
+        if not 0 <= self.warmup_ms <= FLOAT_MAX:
             raise ValueError(f"warmup_ms must be finite and non-negative, got {self.warmup_ms!r}")
-        if not 1.0 <= self.warmup_factor <= _FLOAT_MAX:
+        if not 1.0 <= self.warmup_factor <= FLOAT_MAX:
             raise ValueError(f"warmup_factor must be finite and >= 1, got {self.warmup_factor!r}")
 
     @property
@@ -131,6 +125,7 @@ class Crash(FaultEvent):
 class RpcDrop(FaultEvent):
     """Drop each RPC to ``mds`` with ``probability`` during the window."""
 
+    kind: ClassVar[str] = "rpc_drop"
     probability: float = 0.0
 
     def __post_init__(self):
@@ -143,11 +138,12 @@ class RpcDrop(FaultEvent):
 class RpcDelay(FaultEvent):
     """Add ``extra_ms`` to every RPC round trip to ``mds`` in the window."""
 
+    kind: ClassVar[str] = "rpc_delay"
     extra_ms: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 < self.extra_ms <= _FLOAT_MAX:
+        if not 0 < self.extra_ms <= FLOAT_MAX:
             raise ValueError(f"extra_ms must be finite and positive, got {self.extra_ms!r}")
 
 
@@ -155,15 +151,7 @@ class RpcDelay(FaultEvent):
 class Partition(FaultEvent):
     """``mds`` is unreachable over the network for the window."""
 
-
-_KIND_BY_TYPE: Dict[type, str] = {
-    Slowdown: "slowdown",
-    Crash: "crash",
-    RpcDrop: "rpc_drop",
-    RpcDelay: "rpc_delay",
-    Partition: "partition",
-}
-_TYPE_BY_KIND: Dict[str, type] = {v: k for k, v in _KIND_BY_TYPE.items()}
+    kind: ClassVar[str] = "partition"
 
 
 @dataclass(frozen=True)
@@ -187,13 +175,13 @@ class RetryPolicy:
     jitter: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.rpc_timeout_ms <= _FLOAT_MAX:
+        if not 0 < self.rpc_timeout_ms <= FLOAT_MAX:
             raise ValueError("rpc_timeout_ms must be finite and positive")
-        if not 0 <= self.backoff_base_ms <= self.backoff_max_ms <= _FLOAT_MAX:
+        if not 0 <= self.backoff_base_ms <= self.backoff_max_ms <= FLOAT_MAX:
             raise ValueError("need 0 <= backoff_base_ms <= backoff_max_ms, both finite")
         if type(self.max_attempts) is not int or self.max_attempts < 1:
             raise ValueError(f"max_attempts must be an integer >= 1, got {self.max_attempts!r}")
-        if not 0 <= self.jitter <= _FLOAT_MAX:
+        if not 0 <= self.jitter <= FLOAT_MAX:
             raise ValueError("jitter must be finite and non-negative")
 
     def backoff_ms(self, attempt: int, u: float) -> float:
@@ -206,6 +194,14 @@ class RetryPolicy:
 
     def to_dict(self) -> Dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class _ScheduleFile:
+    """A schedule's JSON form, as :meth:`FaultSchedule.to_dict` writes it."""
+
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    faults: Tuple[Union[Slowdown, Crash, RpcDrop, RpcDelay, Partition], ...] = ()
 
 
 #: the event kinds the queries read, each indexed per MDS
@@ -322,51 +318,17 @@ class FaultSchedule:
     # ----------------------------------------------------------- persistence
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "version": SCHEDULE_SCHEMA_VERSION,
+            "version": SPEC_VERSION,
             "retry": self.retry.to_dict(),
             "faults": [e.to_dict() for e in self.events],
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        """Parse a schedule; a malformed field raises ValueError naming it."""
-        if not isinstance(data, dict) or not isinstance(data.get("faults", []), list):
-            raise ValueError(f"fault schedule must be an object with a 'faults' list: {data!r}")
-        version = data.get("version", SCHEDULE_SCHEMA_VERSION)
-        if not isinstance(version, int) or version > SCHEDULE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported fault schedule 'version' {version!r}")
-        try:
-            retry = RetryPolicy(**data["retry"]) if "retry" in data else None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad fault schedule 'retry' {data['retry']!r}: {exc}") from None
-        events = []
-        for raw in data.get("faults", []):
-            try:
-                raw = dict(raw)
-                kind = raw.pop("kind", None)
-                if kind not in _TYPE_BY_KIND:
-                    raise ValueError(f"unknown fault kind {kind!r}")
-                for k, v in raw.items():
-                    if v == "inf":
-                        raw[k] = math.inf
-                events.append(_TYPE_BY_KIND[kind](**raw))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad fault event {raw!r} in 'faults': {exc}") from None
-        return cls(events, retry=retry)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
+    def from_dict(cls, data: Any) -> "FaultSchedule":
+        """Read a schedule; a malformed one raises ValueError naming the key."""
+        spec = build_spec(_ScheduleFile, data, version_key="version")
+        return cls(spec.faults, retry=spec.retry)
 
     @classmethod
     def load(cls, path: str) -> "FaultSchedule":
-        with open(path) as f:
-            return cls.from_json(f.read())
+        return cls.from_dict(read_json(path))

@@ -28,16 +28,16 @@ breaching windows that overlap an injected fault are annotated with the
 fault kinds active in that window, so a report can separate "we broke
 the SLO" from "the fault schedule broke the SLO".
 
-Every number in a spec must be finite and ``burn_window`` an integer; a
-malformed objective raises :class:`SloError` naming it.
+The strict spec loader (:mod:`repro.specs`) reads the JSON: a malformed
+spec raises :class:`SloError` naming the key.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.specs import FLOAT_MAX, build_spec, read_json
 
 __all__ = [
     "SloObjective",
@@ -55,22 +55,18 @@ _HIGHER_IS_WORSE = ("p50_ms", "p95_ms", "p99_ms", "lat_mean_ms", "imbalance")
 _LOWER_IS_WORSE = ("cache_hit_rate", "ops_per_sec", "events_per_sec")
 
 
-#: the largest finite float: NaN, the infinities and integers too large for
-#: a float all fail a ``<= _FLOAT_MAX`` bound
-_FLOAT_MAX = sys.float_info.max
-
-
 class SloError(ValueError):
     """Malformed SLO spec or spec/timeline mismatch."""
 
 
 @dataclass(frozen=True)
 class SloObjective:
-    """One objective inside a spec; thresholds are per-window."""
+    """One objective inside a spec; thresholds are per-window.  In JSON,
+    ``target_ms`` may stand for ``target``."""
 
     name: str
     metric: str
-    target: float
+    target: float = field(metadata={"alias": "target_ms"})
     error_budget: float = 0.01
     burn_window: int = 10
     burn_alert: float = 2.0
@@ -85,7 +81,7 @@ class SloObjective:
                 f"objective {self.name!r}: unknown metric {self.metric!r} "
                 f"(expected one of {_HIGHER_IS_WORSE + _LOWER_IS_WORSE})"
             )
-        if not abs(self.target) <= _FLOAT_MAX:
+        if not abs(self.target) <= FLOAT_MAX:
             raise SloError(f"objective {self.name!r}: target must be finite")
         if not 0.0 < self.error_budget <= 1.0:
             raise SloError(
@@ -93,8 +89,11 @@ class SloObjective:
             )
         if type(self.burn_window) is not int or self.burn_window < 1:
             raise SloError(f"objective {self.name!r}: burn_window must be an integer >= 1")
-        if not 0 < self.burn_alert <= _FLOAT_MAX:
+        if not 0 < self.burn_alert <= FLOAT_MAX:
             raise SloError(f"objective {self.name!r}: burn_alert must be finite and > 0")
+        # the thresholds are floats: a JSON 5 reads as 5.0
+        for name in ("target", "error_budget", "burn_alert"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def higher_is_worse(self) -> bool:
@@ -106,74 +105,36 @@ class SloObjective:
         return value < self.target
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "SloObjective":
-        """Parse one objective; a malformed field raises SloError naming it."""
-        if not isinstance(d, dict) or "name" not in d or "metric" not in d:
-            raise SloError(f"objective needs 'name' and 'metric': {d!r}")
-        target = d.get("target", d.get("target_ms"))
-        if target is None:
-            raise SloError(f"objective {d['name']!r} needs 'target' (or 'target_ms')")
-        known = {"name", "metric", "target", "target_ms", "error_budget",
-                 "burn_window", "burn_alert"}
-        unknown = set(d) - known
-        if unknown:
-            raise SloError(
-                f"objective {d['name']!r}: unknown keys {sorted(unknown)}"
-            )
-        for key in sorted((known - {"name", "metric"}) & set(d)):
-            value = d[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SloError(f"objective {d['name']!r}: {key!r} must be a number: {value!r}")
-            if not abs(value) <= _FLOAT_MAX:
-                raise SloError(f"objective {d['name']!r}: {key!r} must be finite: {value!r}")
-        return cls(
-            name=str(d["name"]),
-            metric=str(d["metric"]),
-            target=float(target),
-            error_budget=float(d.get("error_budget", 0.01)),
-            burn_window=d.get("burn_window", 10),
-            burn_alert=float(d.get("burn_alert", 2.0)),
-        )
+    def from_dict(cls, d: Any) -> "SloObjective":
+        """Read one objective; a malformed one raises SloError naming the key."""
+        return build_spec(cls, d, SloError)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "target": self.target,
-            "error_budget": self.error_budget,
-            "burn_window": self.burn_window,
-            "burn_alert": self.burn_alert,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
 class SloSpec:
     """A named set of objectives, loadable from JSON."""
 
-    name: str
-    objectives: Sequence[SloObjective]
+    name: str = "slo"
+    objectives: Sequence[SloObjective] = ()
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "SloSpec":
-        if not isinstance(d, dict):
-            raise SloError(f"SLO spec must be a JSON object, got {type(d).__name__}")
-        objs = d.get("objectives")
-        if not objs or not isinstance(objs, list):
+    def __post_init__(self):
+        if not self.objectives:
             raise SloError("SLO spec needs a non-empty 'objectives' list")
-        parsed = tuple(SloObjective.from_dict(o) for o in objs)
-        names = [o.name for o in parsed]
+        names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise SloError(f"duplicate objective names: {names}")
-        return cls(name=str(d.get("name", "slo")), objectives=parsed)
+
+    @classmethod
+    def from_dict(cls, d: Any) -> "SloSpec":
+        """Read a spec; a malformed one raises SloError naming the key."""
+        return build_spec(cls, d, SloError)
 
     @classmethod
     def load(cls, path: str) -> "SloSpec":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SloError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, SloError))
 
     def to_dict(self) -> Dict[str, Any]:
         return {

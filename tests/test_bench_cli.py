@@ -1,6 +1,7 @@
 """End-to-end CLI coverage for ``repro bench run|list|compare|report``."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -105,6 +106,36 @@ def test_bench_compare_bad_inputs(tmp_path, capsys):
         "bench", "compare", str(good), str(good), "--threshold", "oops",
     ]) == 2
     assert "bad --threshold" in capsys.readouterr().err
+
+
+CRASH_BASELINE = str(
+    pathlib.Path(__file__).parent.parent / "benchmarks/baselines/BENCH_crash_failover_rw.json"
+)
+
+
+@pytest.mark.parametrize("override,why", [
+    ("p99_latncy_ms=0.0", "no variant in both artifacts carries 'p99_latncy_ms'"),
+    ("mean_latency_ms=nan", "FRAC must be finite and >= 0"),
+    ("mean_latency_ms=inf", "FRAC must be finite and >= 0"),
+    ("mean_latency_ms=-0.1", "FRAC must be finite and >= 0"),
+])
+def test_bench_compare_rejects_a_threshold_that_gates_nothing(override, why, capsys):
+    argv = ["bench", "compare", CRASH_BASELINE, CRASH_BASELINE]
+    assert main(argv + ["--threshold", "mean_latency_ms=0.0"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--threshold", override]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro bench compare: bad --threshold {override!r}: {why}\n"
+
+
+def test_bench_compare_rejects_a_threshold_one_artifact_lacks(tmp_path, capsys):
+    artifact = load_artifact(CRASH_BASELINE)
+    del artifact["perf"]["Lunule"]["wall_s"]
+    lacking = tmp_path / "lacking.json"
+    write_json(lacking, artifact)
+    assert main(["bench", "compare", CRASH_BASELINE, str(lacking),
+                 "--threshold", "wall_s=0.5"]) == 2
+    assert "no variant in both artifacts carries 'wall_s'" in capsys.readouterr().err
 
 
 def test_bench_report_rejects_future_schema(tmp_path, capsys):

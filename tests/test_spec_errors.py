@@ -4,13 +4,19 @@ The loaders raise ``ValueError`` (fault schedules, autoscale specs) or
 ``SloError`` (SLO specs) naming the bad field, and the CLI turns each into a
 one-line ``bad … spec`` message with exit status 2, as it does for a spec
 that loads but does not fit the cluster.  NaN, the infinities
-(but an ``end_ms`` of ``"inf"``), numbers too large for a float and
-fractional indices or counts are malformed too; a hypothesis property per
-loader checks generated JSON gives a valid spec or the typed error.
+(but an ``end_ms`` of ``"inf"``), numbers too large for a float,
+fractional indices or counts, unknown keys at any level, bools where
+numbers belong and a version other than 1 are malformed too.  Hypothesis
+properties per loader check that generated JSON gives a valid spec or the
+typed error, and that the loader agrees with the earlier parsers
+(``tests/spec_reference.py``) but for the inputs only it refuses.  Every
+spec in ``examples/`` and in the docs loads.
 """
 
 import json
 import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +26,9 @@ from repro.cli import main
 from repro.fs.elastic import AutoscaleSpec
 from repro.fs.faults import FaultSchedule, RetryPolicy
 from repro.obs.slo import SloError, SloSpec
+from tests import spec_reference
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 NAN, INF, HUGE = math.nan, math.inf, 10**400
 
@@ -50,6 +59,14 @@ FAULT_SPECS = [
     ({"retry": {"max_attempts": INF}}, "max_attempts"),
     ({"retry": {"max_attempts": 2.5}}, "max_attempts"),
     ({"retry": {"backoff_max_ms": NAN}}, "backoff_max_ms"),
+    ({"version": -3}, "'version'"),
+    ({"retyr": {"max_attempts": 2}}, "'retyr'"),
+    ({"retry": {"max_attempst": 2}}, "'max_attempst'"),
+    ({"faults": [_crash(strat_ms=1.0)]}, "'strat_ms'"),
+    ({"faults": [_crash(start_ms=True)]}, "'start_ms'"),
+    ({"faults": [{"kind": "slowdown", "mds": 0, "start_ms": 0.0, "end_ms": 10.0,
+                  "factor": True}]}, "'factor'"),
+    ({"retry": {"jitter": True}}, "'jitter'"),
 ]
 AUTOSCALE_SPECS = [
     ([1], "'events'"),
@@ -64,6 +81,10 @@ AUTOSCALE_SPECS = [
     ({"warmup_factor": NAN}, "warmup_factor"),
     ({"warmup_ms": INF}, "warmup_ms"),
     ({"warmup_ms": HUGE}, "warmup_ms"),
+    ({"schema_version": 1, "polcy": "predictive"}, "'polcy'"),
+    ({"policy": "schedule", "events": [{"epoch": 1, "action": "join", "cuont": 3}]},
+     "'cuont'"),
+    ({"warmup_ms": True}, "'warmup_ms'"),
 ]
 #: (flag, spec, message): specs that load but do not fit the 2-MDS cluster
 #: the CLI rows run
@@ -80,6 +101,10 @@ SLO_SPECS = [
     (_objective(target=HUGE), "'target'"),
     (_objective(burn_alert=NAN), "'burn_alert'"),
     ({"objectives": [{"name": "a", "metric": "p99_ms", "target_ms": NAN}]}, "'target_ms'"),
+    ({**_objective(), "nmae": "x"}, "'nmae'"),
+    (_objective(burn_windwo=3), "'burn_windwo'"),
+    (_objective(target=True), "'target'"),
+    ({**_objective(), "name": 5}, "'name'"),
 ]
 
 
@@ -116,26 +141,26 @@ def timeline(tmp_path_factory):
 
 
 def _cli_cases():
-    for spec, _ in FAULT_SPECS:
-        yield "simulate", "--faults", spec, "bad fault schedule"
-        yield "obs slo", "--faults", spec, "bad fault schedule"
-    for spec, _ in AUTOSCALE_SPECS:
-        yield "simulate", "--autoscale", spec, "bad autoscale spec"
+    for spec, field in FAULT_SPECS:
+        yield "simulate", "--faults", spec, "bad fault schedule", field
+        yield "obs slo", "--faults", spec, "bad fault schedule", field
+    for spec, field in AUTOSCALE_SPECS:
+        yield "simulate", "--autoscale", spec, "bad autoscale spec", field
     for flag, spec, message in UNFIT_SPECS:
-        yield "simulate", flag, spec, message
-    for spec, _ in SLO_SPECS:
-        yield "simulate", "--slo", spec, "bad SLO spec"
-        yield "obs slo", None, spec, "bad SLO spec"
+        yield "simulate", flag, spec, message, re.escape(message)
+    for spec, field in SLO_SPECS:
+        yield "simulate", "--slo", spec, "bad SLO spec", field
+        yield "obs slo", None, spec, "bad SLO spec", field
 
 
 CLI_CASES = list(_cli_cases())
 
 
 @pytest.mark.parametrize(
-    "command,flag,spec,message", CLI_CASES,
-    ids=[f"{c}-{f or 'spec'}-{json.dumps(s)}" for c, f, s, _ in CLI_CASES],
+    "command,flag,spec,message,field", CLI_CASES,
+    ids=[f"{c}-{f or 'spec'}-{json.dumps(s)}" for c, f, s, _, _ in CLI_CASES],
 )
-def test_cli_exits_2_with_one_line(command, flag, spec, message, tmp_path, capsys,
+def test_cli_exits_2_with_one_line(command, flag, spec, message, field, tmp_path, capsys,
                                    timeline):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -152,8 +177,22 @@ def test_cli_exits_2_with_one_line(command, flag, spec, message, tmp_path, capsy
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert message in err
+    assert message in err and re.search(field, err), err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "Lunule", "rw", "--ops", "200", "--mds", "2", "--slo"],
+    ["simulate", "Lunule", "rw", "--ops", "200", "--mds", "2", "--faults"],
+    ["obs", "slo", "TIMELINE"],
+])
+def test_cli_refuses_a_spec_file_that_is_not_text(argv, tmp_path, capsys, timeline):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{")
+    capsys.readouterr()
+    assert main([timeline if a == "TIMELINE" else a for a in argv] + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid JSON" in err and err.count("\n") == 1, err
 
 
 def test_end_ms_inf_stays_legal():
@@ -296,3 +335,125 @@ def test_generated_slo_specs_load_or_fail_typed(data):
         return
     _strict_round_trip(spec, SloSpec.from_dict)
     assert all(type(o.burn_window) is int for o in spec.objectives)
+
+
+def _bad_version(data, key):
+    return key in data and not (type(data[key]) is int and data[key] == 1)
+
+
+def _has_bool(obj):
+    return isinstance(obj, dict) and any(type(v) is bool for v in obj.values())
+
+
+def _only_the_loader_refuses_faults(data):
+    """An unknown schedule key, a bool in the retry policy or an event, or a
+    version other than 1: inputs the earlier parser took."""
+    if not isinstance(data, dict):
+        return False
+    faults = data.get("faults")
+    return bool(
+        set(data) - {"version", "retry", "faults"}
+        or _bad_version(data, "version")
+        or _has_bool(data.get("retry"))
+        or (isinstance(faults, list) and any(_has_bool(e) for e in faults))
+    )
+
+
+def _only_the_loader_refuses_autoscale(data):
+    """An unknown spec or scale-event key, or a version other than 1."""
+    if not isinstance(data, dict):
+        return False
+    events = data.get("events")
+    return bool(
+        set(data) - {*AutoscaleSpec().to_dict(), "events"}
+        or _bad_version(data, "schema_version")
+        or (isinstance(events, list) and any(
+            isinstance(e, dict) and set(e) - {"epoch", "action", "count"} for e in events
+        ))
+    )
+
+
+def _only_the_loader_refuses_slo(data):
+    """An unknown spec key, or a spec or objective name that is not a string."""
+    if not isinstance(data, dict):
+        return False
+    objectives = data.get("objectives")
+    return bool(
+        set(data) - {"name", "objectives"}
+        or ("name" in data and type(data["name"]) is not str)
+        or (isinstance(objectives, list) and any(
+            isinstance(o, dict) and "name" in o and type(o["name"]) is not str
+            for o in objectives
+        ))
+    )
+
+
+def _agrees_with_reference(data, load, reference, error, only_the_loader_refuses):
+    """Where the earlier parser raises, or the input is one only the loader
+    refuses, the loader raises ``error``; elsewhere both give the same
+    ``to_dict()``, down to an int against a float."""
+    try:
+        expected = reference(data)
+    except ValueError as exc:
+        assert type(exc) is error, exc
+        expected = None
+    if expected is None or only_the_loader_refuses(data):
+        with pytest.raises(ValueError) as info:
+            load(data)
+        assert type(info.value) is error, info.value
+    else:
+        assert json.dumps(load(data).to_dict()) == json.dumps(expected.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAULT_SPECS)
+def test_fault_loader_agrees_with_the_earlier_parser(data):
+    _agrees_with_reference(data, FaultSchedule.from_dict, spec_reference.fault_schedule_from_dict,
+                           ValueError, _only_the_loader_refuses_faults)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_AUTOSCALE_SPECS)
+def test_autoscale_loader_agrees_with_the_earlier_parser(data):
+    _agrees_with_reference(data, AutoscaleSpec.from_dict, spec_reference.autoscale_from_dict,
+                           ValueError, _only_the_loader_refuses_autoscale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SLO_SPECS)
+def test_slo_loader_agrees_with_the_earlier_parser(data):
+    _agrees_with_reference(data, SloSpec.from_dict, spec_reference.slo_from_dict,
+                           SloError, _only_the_loader_refuses_slo)
+
+
+# ------------------------------------------------------------ docs drift
+
+#: every spec file in examples/, with its loader
+EXAMPLE_SPECS = {
+    "autoscale_diurnal.json": AutoscaleSpec,
+    "faults_demo.json": FaultSchedule,
+    "slo_demo.json": SloSpec,
+}
+#: the docs whose ```json blocks are specs, with their loader
+DOC_SPECS = {
+    "benchmarking.md": FaultSchedule,
+    "elasticity.md": AutoscaleSpec,
+    "faults.md": FaultSchedule,
+    "observability.md": SloSpec,
+}
+
+
+def test_every_example_spec_loads():
+    assert sorted(p.name for p in (ROOT / "examples").glob("*.json")) == sorted(EXAMPLE_SPECS)
+    for name, spec in EXAMPLE_SPECS.items():
+        spec.load(str(ROOT / "examples" / name))
+
+
+@pytest.mark.parametrize("doc", sorted(DOC_SPECS))
+def test_every_doc_spec_loads(doc):
+    text = (ROOT / "docs" / doc).read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
+    specs = [b for b in blocks if "op_index" not in b]  # a span record is not a spec
+    assert specs
+    for block in specs:
+        DOC_SPECS[doc].from_dict(block)
