@@ -48,6 +48,7 @@ folds into ``rng_streams``.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
@@ -78,6 +79,20 @@ _COUNTER_FIELDS = (
 
 def _canonical(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _count(value: Any, what: str) -> int:
+    """``value`` as a run count: a JSON integer >= 0, not a bool."""
+    if value.__class__ is not int or value < 0:
+        raise CheckpointError(f"{what} must be an integer >= 0, not {value!r}")
+    return value
+
+
+def _clock(value: Any, what: str) -> float:
+    """``value`` as a virtual time: a finite JSON number >= 0, not a bool."""
+    if value.__class__ not in (int, float) or not 0.0 <= value < math.inf:
+        raise CheckpointError(f"{what} must be a finite time >= 0 ms, not {value!r}")
+    return float(value)
 
 
 # --------------------------------------------------------------- checkpoint
@@ -113,6 +128,16 @@ class SimCheckpoint:
             rng_streams.update(
                 (f"fault-{key}", state) for key, state in payload.get("fault_rng", {}).items()
             )
+            counters = dict(payload["counters"])
+            for name in _COUNTER_FIELDS:
+                if name in counters:
+                    check = _clock if name == "last_completion_ms" else _count
+                    counters[name] = check(counters[name], f"counter {name}")
+            # whether each directory's owner is an MDS of the pool is the
+            # partition map's check (apply_partition)
+            owners = list(payload["owners"])
+            if any(o.__class__ is not int for o in owners):
+                raise CheckpointError("every owner must be an integer")
             # earlier payloads also list the run's created file inos
             # (``created_files``), which nothing reads
             return cls(
@@ -122,17 +147,17 @@ class SimCheckpoint:
                 use_kvstore=bool(payload["use_kvstore"]),
                 durable=bool(payload["durable"]),
                 data_dir=payload["data_dir"],
-                now_ms=float(payload["now_ms"]),
-                cursor=int(payload["cursor"]),
-                counters=dict(payload["counters"]),
-                owners=[int(o) for o in payload["owners"]],
+                now_ms=_clock(payload["now_ms"], "now_ms"),
+                cursor=_count(payload["cursor"], "cursor"),
+                counters=counters,
+                owners=owners,
                 tree=payload["tree"],
                 rng_streams=rng_streams,
                 latency=dict(payload["latency"]),
                 cache=dict(payload["cache"]),
                 epochs=list(payload["epochs"]),
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint payload: {exc}") from None
 
     def save(self, path: str) -> None:
@@ -174,12 +199,12 @@ class SimCheckpoint:
     # timeline) hold by construction.
     def apply_partition(self, fs) -> None:
         """Overwrite the freshly built partition map with the captured one."""
-        owners = np.asarray(self.owners, dtype=np.int64)
-        if owners.shape[0] != fs.tree.capacity:
-            raise CheckpointError(
-                "owner array does not match the restored tree capacity"
-            )
-        fs.pmap.assign_bulk(owners)
+        try:
+            # refuses an owner list not of the tree's capacity, and a
+            # directory owned by no MDS of the pool
+            fs.pmap.assign_bulk(np.asarray(self.owners, dtype=np.int64))
+        except (ValueError, OverflowError) as exc:
+            raise CheckpointError(f"cannot restore the partition map: {exc}") from None
 
     def apply_runtime(self, fs) -> None:
         """Restore counters, RNG streams, latency/cache state, and the clock."""

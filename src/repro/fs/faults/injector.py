@@ -26,7 +26,7 @@ with an empty schedule is bit-identical to a run with no schedule at all
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.fs.faults.errors import (
     FaultError,
@@ -73,10 +73,10 @@ class FaultInjector:
         for server in fs.servers:
             server.attach_faults(self)
         fs.faults = self
-        self.control_procs: List = []
         edges = schedule.crash_edges()
-        if edges:
-            self.control_procs.append(fs.env.process(self._control(edges)))
+        #: the crash timeline's control process (None without crash edges);
+        #: ``OrigamiFS.run`` stops it when the replay drains
+        self.control = fs.env.process(self._control(edges)) if edges else None
 
     # ------------------------------------------------------------- timeline
     def _control(self, edges) -> Generator:
@@ -125,19 +125,6 @@ class FaultInjector:
                 # elastic joiner's included
                 server.warm_until = until
                 server.warm_factor = ev.warmup_factor
-
-    def cancel(self) -> None:
-        """Stop pending timeline events so a drained run can end (idempotent).
-
-        The control process's cancelled sleep still fires, inert, and moves
-        the clock to the next crash or restart edge (see
-        :meth:`repro.sim.Process.interrupt`)."""
-        for p in self.control_procs:
-            if p.is_alive:
-                try:
-                    p.interrupt("replay-complete")
-                except RuntimeError:
-                    pass
 
     # ------------------------------------------------------ client-side gate
     def rpc_gate(self, mds: int, span=None) -> Optional[Tuple[float, Optional[FaultError]]]:

@@ -306,16 +306,15 @@ class OrigamiFS:
                 for w in range(self.config.n_clients)
             ]
             driver_proc = self.env.process(driver.run())
+            fault_proc = self.faults.control if self.faults is not None else None
 
             def terminator():
-                # when the last client drains, cancel the driver's pending
-                # epoch sleep so virtual time stops at the last completed
-                # operation
+                # when the last client drains, stop the epoch driver and the
+                # fault timeline; each one's pending sleep still fires, inert
                 yield self.env.all_of(clients)
-                if driver_proc.is_alive:
-                    driver_proc.interrupt("replay-complete")
-                if self.faults is not None:
-                    self.faults.cancel()
+                for proc in (driver_proc, fault_proc):
+                    if proc is not None and proc.is_alive:
+                        proc.stop()
 
             self.env.process(terminator())
             wall_t0 = time.perf_counter()
@@ -323,13 +322,13 @@ class OrigamiFS:
             wall_s = time.perf_counter() - wall_t0
             # freed by reference counting here, so the collector's first
             # young collection does not walk every finished client
-            del clients, driver_proc, terminator
+            del clients, driver_proc, fault_proc, terminator
         finally:
             if gc_was_enabled:
                 gc.enable()
-        # duration = when the last operation completed (the driver's cancelled
-        # epoch sleep still fires and may have dragged env.now further;
-        # ignore it)
+        # duration = when the last operation completed (the stopped driver's
+        # epoch sleep still fires, inert, and may have dragged env.now
+        # further; ignore it)
         duration = self.last_completion_ms
         # the servers count this run's RPCs; a resumed run adds them to the
         # checkpointed total

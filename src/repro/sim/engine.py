@@ -27,7 +27,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["Environment", "Event", "Interrupt"]
+__all__ = ["Environment", "Event"]
 
 #: priority for ordinary events
 NORMAL = 1
@@ -41,19 +41,6 @@ _NORMAL_KEY = NORMAL << 62
 
 #: lazily bound Process class (circular import; see Environment.process)
 _Process = None
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    ``cause`` carries whatever the interrupter supplied.  The metadata
-    simulator uses interrupts to stop the epoch driver and the fault
-    timeline when the replay drains.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -211,7 +198,7 @@ class Environment:
         if len(queue) > self._peak_queue:
             self._peak_queue = len(queue)
 
-    def _urgent(self, callback: Callable[[Event], None], value: Any = None, ok: bool = True) -> Event:
+    def _urgent(self, callback: Callable[[Event], None], value: Any = None, ok: bool = True) -> None:
         """Call ``callback`` from an urgent zero-delay event carrying
         ``value``/``ok``: it runs before the normal events at the current
         time, in scheduling order (keeps causality ordering)."""
@@ -221,7 +208,6 @@ class Environment:
         ev._value = value
         ev.callbacks.append(callback)
         self._schedule(ev, URGENT, 0.0)
-        return ev
 
     def warp(self, to_time: float) -> None:
         """Jump the clock forward on an *empty* calendar (checkpoint restore).

@@ -24,42 +24,36 @@ resumes at the ``yield`` expression when the wait is over:
 
 Sleeps and grants allocate nothing: each process owns one wake-up event,
 which the kernel puts back on the calendar for every sleep and every grant
-with the key and calendar-peak update a fresh event would get there.  An
-interrupt (:meth:`Process.interrupt`) cancels whatever wait it lands on: a
-sleep's wake-up still fires, inert, and advances the clock; a queued
-process leaves the queue, and a granted one gives the slot back, before
-the :class:`~repro.sim.engine.Interrupt` is raised at its ``yield``.
+with the key and calendar-peak update a fresh event would get there.
 
-A process that returns, or ends on an interrupt, leaves no reference cycle
-behind, so a replay frees everything by reference counting
-(``OrigamiFS.run`` pauses the cyclic collector on that premise;
-``tests/test_gc_pause.py`` holds it).
+A process is ended from outside with :meth:`Process.stop`.  The stop lands
+from an urgent event at the current time and cancels the wait the process
+is in *then*: a sleep's wake-up still fires, inert, and advances the clock;
+a queued process leaves the queue, a granted one gives the slot back, and
+a join forgets the process.  Its generator is then closed, so ``finally``
+blocks run (a hold's ``resource.release()`` among them), and the process
+fires with ``None``.
+
+A process that returns or is stopped leaves no reference cycle behind, so
+a replay frees everything by reference counting (``OrigamiFS.run`` pauses
+the cyclic collector on that premise; ``tests/test_gc_pause.py`` holds it).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappush
 from typing import Any, Generator
 
-from repro.sim.engine import _NORMAL_KEY, URGENT, Environment, Event, Interrupt
+from repro.sim.engine import _NORMAL_KEY, URGENT, Environment, Event
 from repro.sim.resources import Resource
 
 __all__ = ["Process"]
 
 
-def _new_wake(env: Environment) -> Event:
-    """A process's reusable calendar entry: a triggered event carrying None."""
-    wake = Event(env)
-    wake._value = None
-    wake._triggered = True
-    return wake
-
-
 class Process(Event):
     """Drives a generator; fires (as an event) with the generator's return value."""
 
-    __slots__ = ("_generator", "_waiting_on", "_wake", "_wake_cbs")
+    __slots__ = ("_generator", "_waiting_on", "_stopped_at", "_wake", "_wake_cbs")
 
     def __init__(self, env: Environment, generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -69,7 +63,12 @@ class Process(Event):
         #: the wake-up event (asleep or granted), the Resource (queued) or
         #: the event this process waits on; None while it runs
         self._waiting_on: Any = None
-        self._wake = wake = _new_wake(env)
+        #: the wait the last :meth:`stop` found, until the stop lands
+        self._stopped_at: Any = None
+        # the reusable calendar entry: a triggered event carrying None
+        self._wake = wake = Event(env)
+        wake._value = None
+        wake._triggered = True
         # the wake-up's callback list, put back each time it is scheduled
         # (the engine clears an event's callbacks when it fires).  Its one
         # bound method refers back to the process, so the list is dropped
@@ -83,51 +82,56 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
+    def stop(self) -> None:
+        """End the process for good at its current wait.
 
-        The interrupt lands from an urgent event at the current time and
-        cancels the wait it finds.  A sleep's wake-up stays on the calendar
-        and still fires, inert: it is counted and advances the clock to its
-        time.  A process queued for a :class:`Resource` leaves the queue,
-        and one granted the slot but not yet resumed gives it back, as the
-        interrupt lands and before it is raised.
+        The stop lands from an urgent event at the current time, and does
+        its work then (:meth:`_land`).  Raises :class:`RuntimeError` for a
+        process that has ended, or that is not waiting (it has not started,
+        it is running, or a stop issued since it last waited has not landed).
         """
         if self._triggered:
             raise RuntimeError(f"{self!r} has already terminated")
-        target = self._waiting_on
-        if target is None:
+        if self._waiting_on is None:
             raise RuntimeError(f"{self!r} is not waiting on an event yet")
+        self._stopped_at = self._waiting_on
         self._waiting_on = None
-        ev = self.env._urgent(self._wake_cbs[0], Interrupt(cause), ok=False)
-        wake = self._wake
-        if target is wake:
-            # asleep: the wake-up on the calendar fires inert, and a fresh
-            # one serves the process from now on
-            wake.callbacks = None
-            self._wake = _new_wake(self.env)
-        elif target.__class__ is Resource:
-            # queued, or granted but not resumed: the wake-up fires inert
-            # whenever the grant schedules it, and the process leaves the
-            # queue or gives the slot back as the interrupt lands
-            wake.callbacks = None
-            ev.callbacks.insert(0, partial(self._leave, target))
-        elif target.callbacks is not None:
-            # Detach from the event so its firing later does not resume the
-            # process a second time.
-            target.callbacks = [cb for cb in target.callbacks if getattr(cb, "__self__", None) is not self]
+        self.env._urgent(self._land)
 
-    def _leave(self, resource: Resource, _event: Event) -> None:
-        """Take this interrupted process out of the queue for ``resource``,
-        or give the slot back if it was granted meanwhile."""
-        waiters = resource.waiters
-        for i, (proc, _) in enumerate(waiters):
-            if proc is self:
-                del waiters[i]
-                return
-        # granted: the grant's wake-up is still on the calendar, inert
-        self._wake = _new_wake(self.env)
-        resource.release()
+    def _land(self, _event: Event) -> None:
+        """Cancel the wait the process is in now, then close its generator.
+
+        The process may have resumed since :meth:`stop` (the event it
+        waited on was firing then) and be waiting on something else, or
+        have ended."""
+        if self._triggered:
+            return
+        wait = self._waiting_on
+        if wait is None:
+            wait = self._stopped_at
+        self._waiting_on = self._stopped_at = None
+        wake = self._wake
+        if wait is wake:
+            # asleep: the wake-up on the calendar fires inert
+            wake.callbacks = None
+        elif wait.__class__ is Resource:
+            wake.callbacks = None
+            if wait.holder is self:
+                # granted but not resumed: the grant's wake-up fires inert
+                wait.release()
+            else:
+                waiters = wait.waiters
+                del waiters[next(i for i, (proc, _) in enumerate(waiters) if proc is self)]
+        else:
+            wait.callbacks.remove(self._wake_cbs[0])
+        self._wake_cbs = None
+        try:
+            self._generator.close()
+        except BaseException as exc:
+            # a ``finally`` that raises, or a generator that yields again
+            self.fail(exc)
+            return
+        self.succeed(None)
 
     # -- generator stepping -------------------------------------------------
     def _on_event(self, event: Event) -> None:
@@ -136,25 +140,14 @@ class Process(Event):
         # that are already over; a sleep or a Resource puts the wake-up on
         # the calendar or in the queue
         self._waiting_on = None
-        if self._triggered:
-            return
         value, ok = event._value, event._ok
         gen = self._generator
         while True:
             try:
                 target = gen.send(value) if ok else gen.throw(value)
-            except StopIteration as stop:
+            except StopIteration as end:
                 self._wake_cbs = None
-                self.succeed(stop.value)
-                return
-            except Interrupt as exc:
-                # An unhandled interrupt terminates the process quietly; the
-                # interrupter decided the work is moot.  Its traceback holds
-                # this frame, whose ``value`` holds the interrupt: drop it,
-                # or the pair is cyclic garbage pinning every caller's frame.
-                exc.__traceback__ = None
-                self._wake_cbs = None
-                self.succeed(None)
+                self.succeed(end.value)
                 return
             except BaseException as exc:
                 # An uncaught exception fails the process event: waiters see

@@ -6,11 +6,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.balancers import LunulePolicy
+from repro.cli import main
 from repro.durability import CHECKPOINT_SCHEMA_VERSION, Checkpointer, SimCheckpoint
+from repro.durability.checkpoint import _canonical
 from repro.durability.errors import CheckpointError
 from repro.fs.filesystem import OrigamiFS, SimConfig
 from repro.harness.experiments import build_workload
@@ -288,3 +293,123 @@ def test_live_entry_named_like_a_dead_placeholder_round_trips(tmp_path):
         SimCheckpoint.load(str(tmp_path / "run.ckpt")), trace, LunulePolicy(), SimConfig(**cfg)
     )
     assert fs2.tree.columns() == fs1.tree.columns()
+
+
+# ------------------------------------------------ CRC-valid bad values
+def _rewrite(src: str, dst: str, edit) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    payload and the CRC recomputed, as a writer with a bug would."""
+    with open(src) as f:
+        frame = json.load(f)
+    edit(frame["checkpoint"])
+    frame["crc"] = zlib.crc32(_canonical(frame["checkpoint"]))
+    with open(dst, "w") as f:
+        json.dump(frame, f)
+
+
+SIM_ARGS = ["simulate", "Lunule", "rw", "--mds", "3", "--clients", "12", "--seed", "1"]
+
+#: one bad value per field; each used to resume, or die with a traceback
+BAD_VALUES = {
+    "clock": lambda p: p.update(now_ms=-5.0),
+    "counter": lambda p: p["counters"].update(ops_completed="many"),
+    "cursor": lambda p: p.update(cursor=-3),
+    "owner": lambda p: p["owners"].__setitem__(0, 7),  # the root, on 3 MDSs
+    "fractional owner": lambda p: p["owners"].__setitem__(0, 1.5),  # read as 1
+}
+
+
+def bad_value_outcomes(tmp: str) -> dict:
+    """Exit code and stderr lines of ``repro simulate --resume`` on a
+    checkpoint with each bad value."""
+    good = os.path.join(tmp, "run.ckpt")
+    if main([*SIM_ARGS, "--ops", "1200", "--checkpoint", good]) != 0:  # not an assert: -O
+        raise RuntimeError("the checkpointed run failed")
+    outcomes = {}
+    for field, edit in BAD_VALUES.items():
+        bad = os.path.join(tmp, f"{field}.ckpt")
+        _rewrite(good, bad, edit)
+        err_path = os.path.join(tmp, f"{field}.err")
+        with open(err_path, "w") as err:
+            saved, sys.stderr = sys.stderr, err
+            try:
+                rc = main([*SIM_ARGS, "--ops", "2400", "--resume", bad])
+            finally:
+                sys.stderr = saved
+        with open(err_path) as err:
+            outcomes[field] = [rc, err.read().splitlines()]
+    return outcomes
+
+
+def _assert_each_cannot_resume(outcomes: dict) -> None:
+    assert sorted(outcomes) == sorted(BAD_VALUES)
+    for field, (rc, err) in outcomes.items():
+        assert rc == 1, field
+        assert len(err) == 1 and err[0].startswith("repro simulate: cannot resume: "), err
+
+
+def test_crc_valid_bad_values_cannot_resume(tmp_path, capsys):
+    _assert_each_cannot_resume(bad_value_outcomes(str(tmp_path)))
+
+
+def test_crc_valid_bad_values_cannot_resume_under_python_O(tmp_path):
+    # python -O strips assert statements: the checks must not be asserts
+    code = (
+        "import json, sys; from tests.test_durability_checkpoint import "
+        "bad_value_outcomes; out = bad_value_outcomes(sys.argv[1]); "
+        "print(json.dumps(out))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    _assert_each_cannot_resume(json.loads(out.stdout.splitlines()[-1]))
+
+
+#: any JSON value, NaN and the infinities included (``json`` writes them)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    built, trace = build_workload("rw", 300, seed=1)
+    fs = OrigamiFS(built.tree, trace[:150], LunulePolicy(), SimConfig(n_mds=2, seed=0))
+    fs.run()
+    path = str(tmp_path_factory.mktemp("fuzz") / "base.ckpt")
+    Checkpointer().capture(fs).save(path)
+    with open(path) as f:
+        fields = sorted(json.load(f)["checkpoint"])
+    return path, trace, fields
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), value=JSON)
+def test_a_checkpoint_with_one_field_replaced_restores_or_is_refused(fuzz_base, data, value):
+    """The whole-file fuzzer: one payload field (or one run counter)
+    replaced by generated JSON under a recomputed CRC either restores, and
+    the restored run finishes, or raises CheckpointError."""
+    base, trace, fields = fuzz_base
+    counters = [f"counters.{name}" for name in ("ops_completed", "last_completion_ms")]
+    field = data.draw(st.sampled_from(fields + counters))
+
+    def edit(payload):
+        if field.startswith("counters."):
+            payload["counters"][field.split(".", 1)[1]] = value
+        else:
+            payload[field] = value
+
+    path = base + ".fuzzed"
+    _rewrite(base, path, edit)
+    try:
+        fs = Checkpointer().restore(
+            SimCheckpoint.load(path), trace, LunulePolicy(), SimConfig(n_mds=2, seed=0)
+        )
+    except CheckpointError:
+        return
+    fs.run()

@@ -2,19 +2,21 @@
 
 A process now sleeps by yielding its delay and queues by yielding the
 :class:`~repro.sim.Resource`, and both waits reuse the process's one
-wake-up event; an interrupt cancels whichever wait it lands on.  The
-earlier kernel (``tests/sim_reference.py``) allocated a ``Timeout`` per
-sleep and a request event per queueing, and a process cancelled a request
-by releasing it in ``finally``.  Each program below runs on both: the same
-processes, resources, sleeps, holds, joins and interrupts must give the
-same trace of (process, step, what, time), the same clock, event count and
-calendar peak, and the same totals on every resource.
+wake-up event; a stop cancels whichever wait the process is in when it
+lands, and closes the generator.  The earlier kernel
+(``tests/sim_reference.py``) allocated a ``Timeout`` per sleep and a
+request event per queueing, a process cancelled a request by releasing it
+in ``finally``, and an ``Interrupt`` that the process does not catch is
+its stop.  Each program below runs on both: the same processes, resources,
+sleeps, holds, joins and stops must give the same trace of (process, step,
+what, time), the same clock, event count and calendar peak, and the same
+totals on every resource.
 """
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Interrupt, Resource
+from repro.sim import Environment, Resource
 from tests import sim_reference as ref
 
 
@@ -22,8 +24,11 @@ class Current:
     """The kernel under test."""
 
     Environment = Environment
-    Interrupt = Interrupt
     Resource = Resource
+
+    @staticmethod
+    def stop(proc):
+        proc.stop()
 
     @staticmethod
     def sleep(env, delay):
@@ -44,8 +49,11 @@ class Reference:
     """The kernel before sleeps and grants reused a wake-up event."""
 
     Environment = ref.Environment
-    Interrupt = ref.Interrupt
     Resource = ref.Resource
+
+    @staticmethod
+    def stop(proc):
+        proc.interrupt()
 
     @staticmethod
     def sleep(env, delay):
@@ -64,7 +72,7 @@ class Reference:
 
 
 def wait_state(proc) -> str:
-    """What an interrupt finds ``proc`` doing (current kernel only)."""
+    """What a stop finds ``proc`` doing (current kernel only)."""
     target = proc._waiting_on
     if not proc.is_alive:
         return "ended"
@@ -74,7 +82,9 @@ def wait_state(proc) -> str:
         return "asleep"
     if isinstance(target, Resource):
         return "granted" if target.holder is proc else "queued"
-    return "joining"
+    # the joined event is firing, and resumes the process before the stop
+    # lands
+    return "resuming" if target._processed else "joining"
 
 
 def run(kernel, program, states=None):
@@ -89,44 +99,49 @@ def run(kernel, program, states=None):
         if states is not None:
             states.append(wait_state(procs[victim]))
         try:
-            procs[victim].interrupt((pid, step))
+            kernel.stop(procs[victim])
             trace.append((pid, step, "interrupt", victim, env.now))
         except RuntimeError:
             trace.append((pid, step, "interrupt refused", victim, env.now))
 
     def body(pid, instructions):
-        for step, ins in enumerate(instructions):
-            kind = ins[0]
-            try:
-                value = None
-                if kind == "sleep":
-                    yield kernel.sleep(env, ins[1])
-                elif kind == "hold":
-                    _, r, delay, victim = ins
+        # a stopped process does not catch the stop: it runs this
+        # ``finally`` (after a hold's) when the stop lands
+        try:
+            for step, ins in enumerate(instructions):
+                kind = ins[0]
+                try:
+                    value = None
+                    if kind == "sleep":
+                        yield kernel.sleep(env, ins[1])
+                    elif kind == "hold":
+                        _, r, delay, victim = ins
 
-                    def note(what, step=step, victim=victim):
-                        trace.append((pid, step, what, env.now))
-                        if what == "held" and victim is not None:
-                            interrupt(pid, step, victim)
+                        def note(what, step=step, victim=victim):
+                            trace.append((pid, step, what, env.now))
+                            if what == "held" and victim is not None:
+                                interrupt(pid, step, victim)
 
-                    yield from kernel.hold(env, resources[r], delay, note)
-                elif kind == "join":
-                    value = yield procs[ins[1]]
-                elif kind == "all_of":
-                    value = yield env.all_of([procs[k] for k in ins[1]])
-                else:
-                    interrupt(pid, step, ins[1])
-                trace.append((pid, step, kind, env.now, value))
-            except kernel.Interrupt as exc:
-                trace.append((pid, step, "interrupted", exc.cause, env.now))
-            except ValueError as exc:
-                trace.append((pid, step, "ValueError", str(exc), env.now))
+                        yield from kernel.hold(env, resources[r], delay, note)
+                    elif kind == "join":
+                        value = yield procs[ins[1]]
+                    elif kind == "all_of":
+                        value = yield env.all_of([procs[k] for k in ins[1]])
+                    else:
+                        interrupt(pid, step, ins[1])
+                    trace.append((pid, step, kind, env.now, value))
+                except ValueError as exc:
+                    trace.append((pid, step, "ValueError", str(exc), env.now))
+        finally:
+            trace.append((pid, "exit", step, env.now))
         return pid
 
     procs.extend(env.process(body(pid, instrs)) for pid, instrs in enumerate(bodies))
     env.run()
     return {
-        "trace": trace,
+        # a copy: a process left waiting forever runs its ``finally`` only
+        # when its generator is collected
+        "trace": list(trace),
         "now": env.now,
         "events": env.events_processed,
         "calendar_peak": env.peak_queue_len,
@@ -158,13 +173,13 @@ def programs(draw):
     return n_resources, bodies
 
 
-#: one program per wait state an interrupt can land on, with the state
+#: one program per wait state a stop can find, with the state
 ASLEEP = (1, [[("sleep", 5)], [("sleep", 1), ("interrupt", 0)]])
 QUEUED = (
     1,
     [[("hold", 0, 5, None)], [("hold", 0, 1, None)], [("sleep", 1), ("interrupt", 1)]],
 )
-# 0 releases, which grants 1, and interrupts 1 before it resumes; 2 waits behind
+# 0 releases, which grants 1, and stops 1 before it resumes; 2 waits behind
 GRANTED = (
     1,
     [
@@ -173,7 +188,7 @@ GRANTED = (
         [("sleep", 1), ("sleep", 0.0), ("hold", 0, 1, None)],
     ],
 )
-# 0 interrupts the queued 1 while holding, then releases before it lands
+# 0 stops the queued 1 while holding, then releases before the stop lands
 QUEUED_THEN_GRANTED = (
     1,
     [
@@ -182,11 +197,27 @@ QUEUED_THEN_GRANTED = (
         [("sleep", 1), ("sleep", 0), ("hold", 0, 3.0, None)],
     ],
 )
+# 0 and 2 join 1; as 1's end fires, 0 stops 2, which still resumes and is
+# granted the slot before the stop lands: the stop must give it back
+RESUMING_THEN_GRANTED = (
+    1,
+    [[("join", 1), ("interrupt", 2)], [("sleep", 0)], [("join", 1), ("hold", 0, 0, None)]],
+)
+# the same, but 2 resumes into a sleep: its wake-up must fire once, inert
+RESUMING_THEN_ASLEEP = (
+    1,
+    [
+        [("join", 1), ("interrupt", 2)],
+        [("sleep", -1.0)],
+        [("join", 1), ("sleep", 0), ("sleep", 0), ("join", 2)],
+    ],
+)
 EXAMPLES = [
     (ASLEEP, "asleep"),
     (QUEUED, "queued"),
     (GRANTED, "granted"),
     (QUEUED_THEN_GRANTED, "queued"),
+    (RESUMING_THEN_GRANTED, "resuming"),
 ]
 
 
@@ -195,12 +226,14 @@ EXAMPLES = [
 @example(QUEUED)
 @example(GRANTED)
 @example(QUEUED_THEN_GRANTED)
+@example(RESUMING_THEN_GRANTED)
+@example(RESUMING_THEN_ASLEEP)
 @given(programs())
 def test_kernel_matches_the_reference(program):
     states = []
     got = run(Current, program, states)
     for state in states:
-        event(f"interrupt lands on a process {state}")
+        event(f"a stop finds a process {state}")
     assert got == run(Reference, program)
 
 

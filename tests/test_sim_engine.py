@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt
+from repro.sim import Environment, Event
 
 
 def test_timeout_fires_at_delay():
@@ -211,6 +211,8 @@ def test_all_of_empty_fires_immediately():
 
 
 def test_interrupt_raises_in_target():
+    """A stop closes the target's generator: GeneratorExit is raised at its
+    yield when the stop lands, and the process fires with None."""
     env = Environment()
     log = []
 
@@ -218,17 +220,21 @@ def test_interrupt_raises_in_target():
         try:
             yield 100.0
             log.append("completed")
-        except Interrupt as i:
-            log.append(("interrupted", i.cause, env.now))
+        except GeneratorExit:
+            log.append(("stopped", env.now))
+            raise
 
-    def interrupter(target):
+    def stopper(target):
         yield 5.0
-        target.interrupt(cause="deadline")
+        target.stop()
+        log.append(("stop issued", env.now, target.is_alive))
 
     t = env.process(sleeper())
-    env.process(interrupter(t))
+    env.process(stopper(t))
     env.run()
-    assert log == [("interrupted", "deadline", 5.0)]
+    assert log == [("stop issued", 5.0, True), ("stopped", 5.0)]
+    assert not t.is_alive and t.value is None
+    assert env.now == 100.0  # the stopped sleep still fired, inert
 
 
 def test_interrupt_terminated_process_raises():
@@ -239,8 +245,8 @@ def test_interrupt_terminated_process_raises():
 
     p = env.process(quick())
     env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
+    with pytest.raises(RuntimeError, match="already terminated"):
+        p.stop()
 
 
 def test_yield_non_event_type_error():

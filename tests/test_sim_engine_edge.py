@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, Resource
+from repro.sim import Environment, Event, Resource
 
 
 def test_all_of_failure_propagates():
@@ -61,28 +61,6 @@ def test_unwaited_process_exception_surfaces_from_run():
     env.process(failing())
     with pytest.raises(RuntimeError, match="nobody listening"):
         env.run()
-
-
-def test_interrupt_handled_and_process_continues():
-    env = Environment()
-    log = []
-
-    def worker():
-        try:
-            yield 100.0
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield 3.0  # keeps going after handling
-        log.append(("done", env.now))
-
-    def boss(w):
-        yield 4.0
-        w.interrupt()
-
-    w = env.process(worker())
-    env.process(boss(w))
-    env.run()
-    assert log == [("interrupted", 4.0), ("done", 7.0)]
 
 
 def test_nested_yield_from_generators():
@@ -187,18 +165,19 @@ def test_interrupt_before_first_resume_raises():
 
     p = env.process(proc())
     with pytest.raises(RuntimeError, match="not waiting on an event yet"):
-        p.interrupt()
-    env.run()  # the interrupt was refused: the process runs to completion
+        p.stop()
+    env.run()  # the stop was refused: the process runs to completion
     assert not p.is_alive and env.now == 1.0
 
 
 def test_ended_processes_leave_no_cyclic_garbage():
-    """Returned, joined and interrupted processes are freed by reference
-    counting alone, whether they slept, queued for a Resource or held it,
-    and whichever wait an interrupt cancelled: no wake-up event or its
-    callback list outlives its process as a cycle."""
+    """Returned, joined and stopped processes are freed by reference
+    counting alone, whether they slept, queued for a Resource, held it or
+    joined an event, and whichever wait a stop cancelled: no wake-up event,
+    callback list or exception traceback of a closed generator outlives its
+    process as a cycle."""
     env = Environment()
-    res = Resource(env)
+    res, other = Resource(env), Resource(env)
     log = []
     victims = {}
 
@@ -206,13 +185,20 @@ def test_ended_processes_leave_no_cyclic_garbage():
         yield ms
         log.append(ms)
 
-    def user(tag, ms):
-        yield res
+    def user(tag, ms, r=res):
+        yield r
         try:
             yield ms
         finally:
-            res.release()
+            r.release()
+            log.append(("released", tag, env.now))
         log.append(tag)
+
+    def guarded(tag, wait):
+        try:
+            yield wait
+        finally:
+            log.append(("closed", tag, env.now))
 
     def releaser():
         yield res
@@ -220,29 +206,37 @@ def test_ended_processes_leave_no_cyclic_garbage():
             yield 2.0
         finally:
             res.release()  # grants "granted", which has not resumed yet
-        victims["granted"].interrupt("at the grant")
+        victims["granted"].stop()
 
     def joiner(kids):
         yield env.all_of(kids)  # t = 1
-        victims["asleep"].interrupt("done")
-        victims["queued"].interrupt("done")
+        for tag in ("asleep", "queued", "holding", "joining"):
+            victims[tag].stop()
 
     env.process(releaser())  # holds [0, 2]
     victims["granted"] = env.process(user("granted", 1.0))
     victims["queued"] = env.process(user("queued", 1.0))
     env.process(user("served", 1.0))
-    victims["asleep"] = env.process(sleeper(9.0))
+    victims["holding"] = env.process(user("holding", 5.0, other))
+    victims["asleep"] = env.process(guarded("asleep", 9.0))
+    victims["joining"] = env.process(guarded("joining", Event(env)))
     env.process(joiner([env.process(sleeper(1.0)) for _ in range(3)]))
     gc.collect()
     gc.disable()
     try:
         env.run()
-        alive = [p.is_alive for p in victims.values()]
+        ended = [(p.is_alive, p.value) for p in victims.values()]
         victims.clear()  # the processes' last references outside the kernel
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert log == [1.0, 1.0, 1.0, "served"]  # no victim finished its wait
-    assert alive == [False, False, False]
+    # no victim finished its wait; the closed ones ran their ``finally``
+    assert log == [
+        1.0, 1.0, 1.0,
+        ("closed", "asleep", 1.0), ("released", "holding", 1.0), ("closed", "joining", 1.0),
+        ("released", "served", 3.0), "served",
+    ]
+    assert ended == [(False, None)] * 5
     assert (res.in_use, res.queue_len, res.total_grants) == (0, 0, 3)
-    assert env.now == 9.0  # the cancelled sleep still fired, inert
+    assert (other.in_use, other.queue_len, other.total_grants) == (0, 0, 1)
+    assert env.now == 9.0  # the stopped sleep still fired, inert

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Resource
+from repro.sim import Environment, Resource
 
 
 def test_resource_serialises_access():
@@ -52,8 +52,8 @@ def test_resource_wait_time_accounting():
 
 
 def test_resource_cancel_queued_request():
-    """An interrupt takes a queued process out of the queue: it is never
-    granted, and waits nothing on the books."""
+    """A stop takes a queued process out of the queue: it is never granted,
+    and waits nothing on the books."""
     env = Environment()
     res = Resource(env)
     got = []
@@ -68,28 +68,35 @@ def test_resource_cancel_queued_request():
     def impatient():
         try:
             yield res
-        except Interrupt as i:
-            got.append((i.cause, env.now, res.queue_len, res.in_use))
-            return
-        res.release()
-        got.append("granted")
+            res.release()
+            got.append("granted")
+        finally:
+            got.append((env.now, res.queue_len, res.in_use))
 
     def boss(p):
         yield 1.0
-        p.interrupt("give up")
+        p.stop()
 
     env.process(holder())
     env.process(boss(env.process(impatient())))
     env.run()
-    assert got == [("give up", 1.0, 0, 1)]
+    assert got == [(1.0, 0, 1)]
     assert (res.total_grants, res.total_wait_time, res.peak_queue_len) == (1, 0.0, 1)
     assert (res.in_use, res.queue_len) == (0, 0)
 
 
+#: events of each stop scenario below, as the earlier kernel
+#: (tests/sim_reference.py) counts them with an interrupt the victim does
+#: not catch: bootstraps, grants, hold sleeps, the stop's landing, process
+#: ends, and the victim's cancelled wake-up (asleep, granted), fired inert
+STOP_EVENTS = {"asleep": 12, "queued": 10, "granted": 8}
+
+
 @pytest.mark.parametrize("state", ["asleep", "queued", "granted"])
 def test_interrupt_in_each_wait_state_leaves_the_resource_free(state):
-    """Asleep in its hold, queued, or granted but not yet resumed: an
-    interrupted user leaves no slot held and no waiter queued."""
+    """Asleep in its hold, queued, or granted but not yet resumed: a
+    stopped user leaves no slot held and no waiter queued, runs its
+    ``finally``, and costs the events the earlier kernel's interrupt did."""
     env = Environment()
     res = Resource(env)
     seen = []
@@ -102,8 +109,8 @@ def test_interrupt_in_each_wait_state_leaves_the_resource_free(state):
             finally:
                 res.release()
             seen.append(("done", env.now))
-        except Interrupt:
-            seen.append(("interrupted", env.now))
+        finally:
+            seen.append(("closed", env.now, res.holder is victim))
 
     def first():
         # holds the slot over [0, 2], then hands it to the victim
@@ -113,11 +120,11 @@ def test_interrupt_in_each_wait_state_leaves_the_resource_free(state):
         finally:
             res.release()
         if state == "granted":
-            victim.interrupt()  # before the victim resumes
+            victim.stop()  # before the victim resumes
 
     def boss():
         yield {"asleep": 3.0, "queued": 1.0}[state]
-        victim.interrupt()
+        victim.stop()
 
     env.process(first())
     victim = env.process(user(5.0))
@@ -125,11 +132,13 @@ def test_interrupt_in_each_wait_state_leaves_the_resource_free(state):
         env.process(boss())
     env.run()
     at = {"asleep": 3.0, "queued": 1.0, "granted": 2.0}[state]
-    assert seen == [("interrupted", at)]
+    assert seen == [("closed", at, False)]
+    assert not victim.is_alive and victim.value is None
     assert (res.in_use, res.queue_len) == (0, 0)
     assert res.total_grants == (1 if state == "queued" else 2)
-    # an asleep victim's cancelled hold still fires, inert, at 2 + 5
+    # an asleep victim's stopped hold still fires, inert, at 2 + 5
     assert env.now == (7.0 if state == "asleep" else 2.0)
+    assert env.events_processed == STOP_EVENTS[state]
 
 
 def test_interrupt_while_holding_releases_in_finally():
@@ -141,9 +150,8 @@ def test_interrupt_while_holding_releases_in_finally():
         yield res
         try:
             yield 10.0
-        except Interrupt:
-            seen.append(("interrupted", env.now, res.in_use))
         finally:
+            seen.append(("stopped", env.now, res.in_use))
             res.release()
 
     def waiter():
@@ -155,14 +163,43 @@ def test_interrupt_while_holding_releases_in_finally():
 
     def boss(p):
         yield 3.0
-        p.interrupt()
+        p.stop()
 
     env.process(boss(env.process(holder())))
     env.process(waiter())
     env.run()
-    assert seen == [("interrupted", 3.0, 1), ("granted", 3.0)]
+    assert seen == [("stopped", 3.0, 1), ("granted", 3.0)]
     assert (res.in_use, res.queue_len, res.total_wait_time) == (0, 0, 3.0)
-    assert env.now == 10.0  # the cancelled hold still fired, inert
+    assert env.now == 10.0  # the stopped hold still fired, inert
+
+
+def test_stop_that_a_finally_refuses_fails_the_process():
+    """A generator that yields again while it is closed fails the process
+    with the RuntimeError that ``close`` raises; a joiner sees it."""
+    env = Environment()
+    seen = []
+
+    def stubborn():
+        try:
+            yield 10.0
+        finally:
+            yield 1.0
+
+    def joiner(p):
+        try:
+            yield p
+        except RuntimeError as exc:
+            seen.append((str(exc), env.now))
+
+    def boss(p):
+        yield 2.0
+        p.stop()
+
+    p = env.process(stubborn())
+    env.process(joiner(p))
+    env.process(boss(p))
+    env.run()
+    assert seen == [("generator ignored GeneratorExit", 2.0)]
 
 
 def test_release_of_a_free_resource_raises():
