@@ -81,10 +81,19 @@ def _canonical(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _count(value: Any, what: str) -> int:
-    """``value`` as a run count: a JSON integer >= 0, not a bool."""
-    if value.__class__ is not int or value < 0:
-        raise CheckpointError(f"{what} must be an integer >= 0, not {value!r}")
+def _count(value: Any, what: str, least: int = 0) -> int:
+    """``value`` as a count: a JSON integer >= ``least``, not a bool."""
+    if value.__class__ is not int or value < least:
+        raise CheckpointError(f"{what} must be an integer >= {least}, not {value!r}")
+    return value
+
+
+def _typed(payload: Dict[str, Any], key: str, classes: tuple, expected: str) -> Any:
+    """``payload[key]`` itself if it is one of the JSON ``classes``, never a
+    coercion of it."""
+    value = payload[key]
+    if value.__class__ not in classes:
+        raise CheckpointError(f"{key} must be {expected}, not {value!r}")
     return value
 
 
@@ -141,12 +150,12 @@ class SimCheckpoint:
             # earlier payloads also list the run's created file inos
             # (``created_files``), which nothing reads
             return cls(
-                strategy=str(payload["strategy"]),
-                seed=int(payload["seed"]),
-                n_mds=int(payload["n_mds"]),
-                use_kvstore=bool(payload["use_kvstore"]),
-                durable=bool(payload["durable"]),
-                data_dir=payload["data_dir"],
+                strategy=_typed(payload, "strategy", (str,), "a string"),
+                seed=_count(payload["seed"], "seed"),
+                n_mds=_count(payload["n_mds"], "n_mds", least=1),
+                use_kvstore=_typed(payload, "use_kvstore", (bool,), "true or false"),
+                durable=_typed(payload, "durable", (bool,), "true or false"),
+                data_dir=_typed(payload, "data_dir", (str, type(None)), "null or a string"),
                 now_ms=_clock(payload["now_ms"], "now_ms"),
                 cursor=_count(payload["cursor"], "cursor"),
                 counters=counters,

@@ -177,6 +177,19 @@ class TraceBuilder:
         self._names.append(name)
         self._think.append(float(think_ms))
 
+    def extend(self, ops: List[int], dirs: List[int], names: List[str]) -> None:
+        """Append a run of ops with no ``aux`` and no think time, given as
+        columns of plain ints and names: what one :meth:`add` per op would
+        append, without its per-op conversions."""
+        k = len(ops)
+        if len(dirs) != k or len(names) != k:
+            raise ValueError("extend needs columns of equal length")
+        self._op += ops
+        self._dir += dirs
+        self._aux += [-1] * k
+        self._names += names
+        self._think += [0.0] * k
+
     def think(self, ms: float) -> None:
         """Attach client idle time before the most recently added op issues."""
         if self._think and ms > 0:

@@ -54,7 +54,8 @@ def generate_trace_ro(
     names: List[str] = []
     per_seg = max(1, n_ops // segments)
     for seg in range(segments):
-        want = per_seg if seg < segments - 1 else n_ops - len(names)
+        owed = n_ops - len(names)
+        want = min(per_seg, owed) if seg < segments - 1 else owed
         dirs = sampler.sample(want)
         rolls = rng.random(want)
         page = rolls >= readdir_fraction

@@ -1,11 +1,14 @@
 """The bulk workload build against the per-entity code it replaced.
 
 :meth:`NamespaceTree.create_many`, the cached CDF of
-:class:`~repro.workloads.zipfian.DriftingZipf` and the array draws of
-:func:`~repro.workloads.web_ro.generate_trace_ro` must reproduce the old
-one-at-a-time code bit for bit: the same tree, the same draws, the same
-generator state afterwards.  The old code is kept here as the reference.
+:class:`~repro.workloads.zipfian.DriftingZipf`, the array draws of
+:func:`~repro.workloads.web_ro.generate_trace_ro` and the raw-word draws of
+the tenant-burst emitter must reproduce the old one-at-a-time code bit for
+bit: the same tree, the same draws, the same generator state afterwards.
+The old code is kept here as the reference.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from repro.costmodel.optypes import OpType
 from repro.namespace.builder import build_web_tree
 from repro.namespace.tree import ROOT_INO, NamespaceTree
 from repro.sim import SeedSequenceFactory
-from repro.workloads import generate_trace_ro
+from repro.sim.rng import RngStream
+from repro.workloads import WORKLOADS, cloud_wi, elastic_load, generate_trace_ro
+from repro.workloads.cloud_wi import _BurstWords, _emit_tenant_burst, _word_bound
 from repro.workloads.trace import TraceBuilder
 from repro.workloads.zipfian import DriftingZipf
 from tests.test_workload_pins import full_state
@@ -267,3 +272,150 @@ def test_trace_ro_matches_the_per_op_loop(seed, n_ops, n_dirs):
     assert (new.label, new.think_ms) == (old.label, old.think_ms)
     assert new_rng.generator.bit_generator.state == old_rng.generator.bit_generator.state
     assert set(new.op.tolist()) == {OpType.STAT, OpType.OPEN, OpType.READDIR}
+
+
+# ------------------------------------------------------------ tenant bursts
+def per_op_emit_tenant_burst(
+    tb, rng, shard, created, uid, burst, write_fraction, shared_root,
+    shared_files, readdir_below=0.3, stat_below=0.8,
+):
+    """``_emit_tenant_burst`` as it was: one ``random()`` or ``integers()``
+    call per draw and one ``add`` per op."""
+    for _ in range(burst):
+        if rng.random() < write_fraction:
+            names = created.get(shard)
+            if rng.random() < 0.85 or not names:
+                name = f"obj_{uid:08d}"
+                uid += 1
+                tb.create(shard, name)
+                created.setdefault(shard, []).append(name)
+            else:
+                # churn: delete a recently written object
+                tb.unlink(shard, names.pop())
+        else:
+            sub = rng.random()
+            if sub < readdir_below:
+                tb.readdir(shard)
+            elif sub < stat_below and created.get(shard):
+                names = created[shard]
+                tb.stat(shard, names[int(rng.integers(0, len(names)))])
+            else:
+                name = shared_files[int(rng.integers(0, len(shared_files)))]
+                tb.open(shared_root, name)
+    return uid
+
+
+def _stream(seed: int, buffered: bool, half: int) -> RngStream:
+    """A stream whose half-word buffer holds ``half`` or nothing."""
+    rng = SeedSequenceFactory(seed).stream("burst")
+    bitgen = rng.generator.bit_generator
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = int(buffered), half
+    bitgen.state = state
+    return rng
+
+
+def _columns(trace) -> tuple:
+    think = None if trace.think_ms is None else trace.think_ms.tolist()
+    return (trace.op.tolist(), trace.dir_ino.tolist(), trace.aux.tolist(),
+            trace.names, think)
+
+
+probabilities = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=seeds,
+    buffered=st.booleans(),
+    half=st.integers(min_value=0, max_value=2**32 - 1),
+    burst=st.integers(min_value=1, max_value=200),
+    write_fraction=probabilities,
+    readdir_below=probabilities,
+    stat_below=probabilities,
+    own=st.sampled_from([None, [], ["obj_x"]]),
+    shared=st.sampled_from([["s0"], ["s0", "s1"]]),
+    uid=st.integers(min_value=0, max_value=10**6),
+)
+def test_burst_from_raw_words_matches_the_scalar_calls(
+    seed, buffered, half, burst, write_fraction, readdir_below, stat_below,
+    own, shared, uid,
+):
+    shard, shared_root = 7, 3
+    created = {5: ["obj_y"]} if own is None else {5: ["obj_y"], shard: own}
+    sides = []
+    for emit in (_emit_tenant_burst, per_op_emit_tenant_burst):
+        rng = _stream(seed, buffered, half)
+        tb = TraceBuilder(label="t")
+        mine = copy.deepcopy(created)
+        got = emit(tb, rng, shard, mine, uid, burst, write_fraction,
+                   shared_root, list(shared), readdir_below, stat_below)
+        sides.append((_columns(tb.build()), got, mine, rng.generator.bit_generator.state))
+    assert sides[0] == sides[1]
+
+
+@pytest.mark.parametrize("p", [
+    -0.5, 0.0, 2.0**-1074, 2.0**-60, 0.25, 0.3, 0.75, 0.8, 0.85,
+    1.0 - 2.0**-53, 1.0, 1.5, float("inf"), float("nan"),
+])
+def test_word_bound_is_random_below(p):
+    """``random() < p`` exactly when the word it is made of is below the
+    bound: on words of one stream and ``random()`` of its twin, at fixed
+    ``p`` and at ``p`` equal to a drawn value or one step off it."""
+    words = SeedSequenceFactory(3).stream("w").generator.bit_generator.random_raw(2000)
+    doubles = SeedSequenceFactory(3).stream("w").generator.random(2000)
+    words = words.tolist()
+    edges = [q for d in doubles[:25] for q in (d, np.nextafter(d, 0.0), np.nextafter(d, 1.0))]
+    for q in [p] + edges:
+        bound = _word_bound(float(q))
+        assert [w < bound for w in words] == (doubles < q).tolist(), q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 200, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_burst_words_draw_what_scalar_calls_draw(n, buffered):
+    """Each op's pair is its two ``random()`` words and ``integers(n, ...)``
+    is ``integers(0, n)``: Lemire redraws a quarter of the time at
+    ``3 * 2**30`` and half of it at ``2**31 + 1``, and ``n == 1`` draws
+    nothing; the stream ends where the calls leave it."""
+    ops = 300
+    raw, calls = _stream(11, buffered, 12345), _stream(11, buffered, 12345)
+    draws = _BurstWords(raw, ops)
+    for after in range(ops - 1, -1, -1):
+        first, second = draws.pair(after)
+        assert (first >> 11) * 2.0**-53 == calls.random()
+        assert (second >> 11) * 2.0**-53 == calls.random()
+        if after % 3:
+            assert draws.integers(n, after) == int(calls.integers(0, n))
+    draws.close()
+    assert raw.generator.bit_generator.state == calls.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox])
+def test_burst_needs_a_pcg64_stream(bitgen):
+    rng = RngStream("other", np.random.Generator(bitgen(0)))
+    with pytest.raises(TypeError, match="PCG64"):
+        _emit_tenant_burst(TraceBuilder(), rng, 7, {}, 0, 5, 0.5, 3, ["s0"])
+
+
+#: (kind, seed, n_ops): builds beyond the pins, small bursts to many segments
+EMITTER_BUILDS = [
+    (kind, seed, n_ops)
+    for kind in ("wi", "diurnal", "flash", "onboard")
+    for seed, n_ops in ((1, 1), (2, 37), (3, 2_000), (4200, 20_000))
+]
+
+
+@pytest.mark.parametrize("kind, seed, n_ops", EMITTER_BUILDS)
+def test_generators_match_the_per_op_emitter(monkeypatch, kind, seed, n_ops):
+    generate, _ = WORKLOADS[kind]
+    new_rng = SeedSequenceFactory(seed).stream(f"workload-{kind}")
+    new_built, new = generate(new_rng, n_ops=n_ops)
+    for module in (cloud_wi, elastic_load):
+        monkeypatch.setattr(module, "_emit_tenant_burst", per_op_emit_tenant_burst)
+    old_rng = SeedSequenceFactory(seed).stream(f"workload-{kind}")
+    old_built, old = generate(old_rng, n_ops=n_ops)
+    assert full_state(new_built.tree) == full_state(old_built.tree)
+    assert _columns(new) == _columns(old)
+    assert new.label == old.label
+    assert new_rng.generator.bit_generator.state == old_rng.generator.bit_generator.state

@@ -316,6 +316,12 @@ BAD_VALUES = {
     "cursor": lambda p: p.update(cursor=-3),
     "owner": lambda p: p["owners"].__setitem__(0, 7),  # the root, on 3 MDSs
     "fractional owner": lambda p: p["owners"].__setitem__(0, 1.5),  # read as 1
+    # header fields, each once coerced: "1" read as seed 1, 3.9 as 3 MDSs,
+    # "false" and "no" as true
+    "string seed": lambda p: p.update(seed="1"),
+    "fractional n_mds": lambda p: p.update(n_mds=3.9),
+    "string use_kvstore": lambda p: p.update(use_kvstore="false"),
+    "string durable": lambda p: p.update(durable="no"),
 }
 
 
@@ -375,6 +381,21 @@ JSON = st.recursive(
     max_leaves=10,
 )
 
+#: values a coercion would read as the fuzz base's own header
+NEAR_MISSES = st.sampled_from(
+    [0, 2, 0.0, 2.0, 2.5, "0", "2", True, False, 1, "true", "false", "", None, "Lunule"]
+)
+
+#: header field -> the JSON classes it may hold and the least integer
+HEADER = {
+    "strategy": ((str,), None),
+    "seed": ((int,), 0),
+    "n_mds": ((int,), 1),
+    "use_kvstore": ((bool,), None),
+    "durable": ((bool,), None),
+    "data_dir": ((str, type(None)), None),
+}
+
 
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
@@ -389,11 +410,12 @@ def fuzz_base(tmp_path_factory):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), value=JSON)
+@given(data=st.data(), value=JSON | NEAR_MISSES)
 def test_a_checkpoint_with_one_field_replaced_restores_or_is_refused(fuzz_base, data, value):
     """The whole-file fuzzer: one payload field (or one run counter)
     replaced by generated JSON under a recomputed CRC either restores, and
-    the restored run finishes, or raises CheckpointError."""
+    the restored run finishes, or raises CheckpointError.  A header field
+    loads only as itself: the value in the file, of its own JSON type."""
     base, trace, fields = fuzz_base
     counters = [f"counters.{name}" for name in ("ops_completed", "last_completion_ms")]
     field = data.draw(st.sampled_from(fields + counters))
@@ -407,8 +429,14 @@ def test_a_checkpoint_with_one_field_replaced_restores_or_is_refused(fuzz_base, 
     path = base + ".fuzzed"
     _rewrite(base, path, edit)
     try:
+        checkpoint = SimCheckpoint.load(path)
+        if field in HEADER:
+            classes, least = HEADER[field]
+            loaded = getattr(checkpoint, field)
+            assert loaded.__class__ in classes and loaded == value, (field, value)
+            assert least is None or loaded >= least, (field, value)
         fs = Checkpointer().restore(
-            SimCheckpoint.load(path), trace, LunulePolicy(), SimConfig(n_mds=2, seed=0)
+            checkpoint, trace, LunulePolicy(), SimConfig(n_mds=2, seed=0)
         )
     except CheckpointError:
         return

@@ -8,16 +8,20 @@ optimization must preserve for *arbitrary* seeds:
   trace, column for column, names included;
 * **op-mix shape** — each family keeps its paper-calibrated distribution
   (web is read-only with ~8% readdirs, cloud is >2/3 writes, compile mixes
-  reads with a substantial create share).
+  reads with a substantial create share);
+* **length** — every family gives exactly the ``n_ops`` asked for, also
+  when that is fewer than its segments.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel.optypes import OpType
 from repro.sim.rng import SeedSequenceFactory
 from repro.workloads import (
+    WORKLOADS,
     generate_trace_ro,
     generate_trace_rw,
     generate_trace_wi,
@@ -75,6 +79,16 @@ def test_generator_distinct_seeds_differ(kind, seed_a, seed_b):
     _, ta = _build(kind, seed_a)
     _, tb = _build(kind, seed_b)
     assert _columns(ta) != _columns(tb)
+
+
+@pytest.mark.parametrize("kind", sorted(WORKLOADS))
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds, n_ops=st.integers(min_value=1, max_value=40))
+def test_generator_gives_exactly_n_ops(kind, seed, n_ops):
+    """Fewer ops than segments too: no segment may take more than is owed."""
+    generate, _ = WORKLOADS[kind]
+    _, trace = generate(SeedSequenceFactory(seed).stream(f"workload-{kind}"), n_ops=n_ops)
+    assert len(trace) == n_ops
 
 
 # ----------------------------------------------------------------- op mix

@@ -3,7 +3,8 @@
 ``tests/workload_pins.json`` holds one SHA-256 per case: every kind in
 :data:`repro.workloads.WORKLOADS` at seeds 0 and 4200 and ``tree_scale``
 1 and 4, plus ``wi`` at 16 (the tree the ``origami_cloud`` benchmark
-replays), each at 5,000 ops.  A digest covers the tree's full state (with
+replays), each at 5,000 ops; and the two full-size ``wi`` builds the
+benchmark times (``FULL_SIZE``).  A digest covers the tree's full state (with
 child-map order), the built namespace's read dirs, write dirs and info,
 every trace column, and the workload stream's bit-generator state after
 the build.  A change to how workloads are built must leave all of them
@@ -30,16 +31,20 @@ from repro.workloads import WORKLOADS
 
 PINS = pathlib.Path(__file__).with_name("workload_pins.json")
 N_OPS = 5_000
+#: ``origami_cloud``'s and ``million_wi``'s ``wi`` builds at workload seed
+#: 4200, the first instance of benchmark seed 42
+FULL_SIZE = (("wi", 4200, 16.0, 190_000), ("wi", 4200, 256.0, 200_000))
 CASES = tuple(
-    (kind, seed, scale)
+    (kind, seed, scale, N_OPS)
     for kind in WORKLOADS
     for seed in (0, 4200)
     for scale in (1.0, 4.0)
-) + tuple(("wi", seed, 16.0) for seed in (0, 4200))
+) + tuple(("wi", seed, 16.0, N_OPS) for seed in (0, 4200)) + FULL_SIZE
 
 
-def case_id(kind: str, seed: int, scale: float) -> str:
-    return f"{kind}-seed{seed}-scale{scale:g}"
+def case_id(kind: str, seed: int, scale: float, n_ops: int = N_OPS) -> str:
+    base = f"{kind}-seed{seed}-scale{scale:g}"
+    return base if n_ops == N_OPS else f"{base}-ops{n_ops}"
 
 
 def _plain(obj):
@@ -88,7 +93,7 @@ def _column(arr) -> list:
     return None if arr is None else [arr.dtype.str, arr.tobytes().hex()]
 
 
-def workload_digest(kind: str, seed: int, scale: float) -> str:
+def workload_digest(kind: str, seed: int, scale: float, n_ops: int = N_OPS) -> str:
     """SHA-256 of one build, made as ``build_workload`` makes it."""
     generate, size_kw = WORKLOADS[kind]
     rng = SeedSequenceFactory(seed).stream(f"workload-{kind}")
@@ -96,7 +101,7 @@ def workload_digest(kind: str, seed: int, scale: float) -> str:
     if scale != 1.0:
         base = inspect.signature(generate).parameters[size_kw].default
         kwargs[size_kw] = max(1, int(round(base * scale)))
-    built, trace = generate(rng, n_ops=N_OPS, **kwargs)
+    built, trace = generate(rng, n_ops=n_ops, **kwargs)
     record = {
         "tree": full_state(built.tree),
         "read_dirs": built.read_dirs,

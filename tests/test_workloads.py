@@ -37,6 +37,23 @@ def test_trace_builder_roundtrip():
     assert tr.names == ["a", "", "new", ""]
 
 
+def test_trace_builder_extend_appends_what_add_appends():
+    bulk, one = TraceBuilder(label="t"), TraceBuilder(label="t")
+    ops = [int(OpType.STAT), int(OpType.READDIR), int(OpType.OPEN)]
+    bulk.stat(7, "x")
+    bulk.extend(ops, [1, 2, 3], ["a", "", "b"])
+    one.stat(7, "x")
+    for op, d, name in zip(ops, [1, 2, 3], ["a", "", "b"]):
+        one.add(OpType(op), d, name)
+    a, b = bulk.build(), one.build()
+    for column in ("op", "dir_ino", "aux"):
+        assert getattr(a, column).tolist() == getattr(b, column).tolist()
+    assert (a.names, a.think_ms) == (b.names, b.think_ms)
+    with pytest.raises(ValueError):
+        bulk.extend(ops, [1, 2], ["a", "", "b"])
+    assert len(bulk) == 4
+
+
 def test_trace_slicing_and_epochs():
     tb = TraceBuilder()
     for i in range(10):
