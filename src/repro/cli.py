@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -84,7 +85,7 @@ def _load_spec(command: str, what: str, spec: type, path: Optional[str],
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -808,8 +809,6 @@ def _cmd_bench_list(args) -> int:
 
 
 def _cmd_bench_compare(args) -> int:
-    import math
-
     from repro.bench.compare import THRESHOLD_PROFILES, compare_artifacts
     from repro.bench.store import ArtifactError, load_artifact
 

@@ -269,8 +269,11 @@ class ClientWorker:
         property suite asserts.  Completions, RPCs and the last completion
         time are totalled locally and flushed when this client drains:
         nothing reads them mid-run (the windowed timeline reads per-server
-        and cache counters, the epoch driver reads ``fs.cursor``) and the
-        run always waits for every client.
+        and cache counters, the epoch driver reads ``fs.cursor``), and the
+        run ends only when every client has drained.  The last client to
+        drain ends it: it stops the processes in ``fs.background`` (the
+        epoch driver and the fault timeline), so the clock stops at its
+        last completion.
         """
         fs = self.fs
         (
@@ -507,3 +510,9 @@ class ClientWorker:
         fs.ops_completed += my_ops
         if last_now > fs.last_completion_ms:
             fs.last_completion_ms = last_now
+        fs.clients_running -= 1
+        if not fs.clients_running:
+            # the run ends here, at its last completion
+            for proc in fs.background:
+                if proc.is_alive:
+                    proc.stop()

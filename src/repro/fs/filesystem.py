@@ -15,6 +15,7 @@ compression is documented in DESIGN.md).
 from __future__ import annotations
 
 import gc
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -86,8 +87,8 @@ class SimConfig:
             raise ValueError("need at least one MDS and one client")
         if self.autoscale is not None:
             self.autoscale.validate(self.n_mds)
-        if self.epoch_ms <= 0:
-            raise ValueError("epoch_ms must be positive")
+        if not 0.0 < self.epoch_ms < math.inf:
+            raise ValueError(f"epoch_ms must be finite and positive, got {self.epoch_ms}")
         if self.cache_mode not in ("near-root", "lease"):
             raise ValueError(f"unknown cache_mode {self.cache_mode!r}")
         if self.data_dir is not None:
@@ -301,34 +302,23 @@ class OrigamiFS:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            clients = [
+            # The last client to drain stops the epoch driver and the fault
+            # timeline (ClientWorker.run).  Both start before the clients
+            # (the injector's with the cluster), so the stop finds them
+            # waiting even when no client has an op to replay.
+            self.background = [self.env.process(driver.run())]
+            if self.faults is not None and self.faults.control is not None:
+                self.background.append(self.faults.control)
+            self.clients_running = self.config.n_clients
+            for w in range(self.config.n_clients):
                 self.env.process(ClientWorker(self, w).run())
-                for w in range(self.config.n_clients)
-            ]
-            driver_proc = self.env.process(driver.run())
-            fault_proc = self.faults.control if self.faults is not None else None
-
-            def terminator():
-                # when the last client drains, stop the epoch driver and the
-                # fault timeline; each one's pending sleep still fires, inert
-                yield self.env.all_of(clients)
-                for proc in (driver_proc, fault_proc):
-                    if proc is not None and proc.is_alive:
-                        proc.stop()
-
-            self.env.process(terminator())
             wall_t0 = time.perf_counter()
             self.env.run()
             wall_s = time.perf_counter() - wall_t0
-            # freed by reference counting here, so the collector's first
-            # young collection does not walk every finished client
-            del clients, driver_proc, fault_proc, terminator
         finally:
             if gc_was_enabled:
                 gc.enable()
-        # duration = when the last operation completed (the stopped driver's
-        # epoch sleep still fires, inert, and may have dragged env.now
-        # further; ignore it)
+        # env.now ends here too: the stopped processes' wake-ups fire inert
         duration = self.last_completion_ms
         # the servers count this run's RPCs; a resumed run adds them to the
         # checkpointed total

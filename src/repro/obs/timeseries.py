@@ -34,6 +34,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -97,8 +98,8 @@ class TimelineCollector:
         max_latency_samples: int = 2048,
         initial_windows: int = 256,
     ):
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
+        if not 0.0 < window_ms < math.inf:
+            raise ValueError(f"window_ms must be finite and positive, got {window_ms}")
         if max_latency_samples < 1:
             raise ValueError("max_latency_samples must be >= 1")
         if initial_windows < 1:

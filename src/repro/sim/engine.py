@@ -15,8 +15,9 @@ Almost every entry is one of a process's two waits, and neither allocates:
 a sleep (the process yields its delay) and a grant of a
 :class:`~repro.sim.resources.Resource` (the process yields the resource)
 both put the process's own reusable wake-up event on the calendar (see
-:mod:`repro.sim.process`).  :class:`Event` objects proper serve the
-joins, process completions and the urgent bookkeeping below.
+:mod:`repro.sim.process`).  :class:`Event` objects proper serve
+process completions (another process joins one with ``yield process``)
+and the urgent bookkeeping below.
 
 Virtual time is a float; the reproduction uses **milliseconds** throughout
 (see ``repro.costmodel.params`` for the unit conventions).
@@ -25,7 +26,7 @@ Virtual time is a float; the reproduction uses **milliseconds** throughout
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["Environment", "Event"]
 
@@ -109,40 +110,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class AllOf(Event):
-    """Fires when all child events have fired; value is the list of values."""
-
-    __slots__ = ("_remaining", "_events")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = events = list(events)
-        self._remaining = len(events)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        # one bound method serves every child: a closure per child would
-        # add a function and a cell each (every client of a run joins here)
-        on_child = self._on_child
-        for ev in events:
-            if ev._processed:
-                # Already over: fold its outcome in via an urgent event.
-                env._urgent(on_child, ev._value, ev._ok)
-            else:
-                ev.callbacks.append(on_child)
-
-    def _on_child(self, done: Event) -> None:
-        if self._triggered:
-            return
-        if not done._ok:
-            self.fail(done._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            # every child is processed by now, so each carries its value
-            self.succeed([ev._value for ev in self._events])
-
-
 class Environment:
     """The event calendar plus factory helpers for events and processes."""
 
@@ -178,9 +145,6 @@ class Environment:
         return self._peak_queue
 
     # -- factories ---------------------------------------------------------
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def process(self, generator) -> "Process":
         # late import (circular: process.py imports engine.py), cached in a
         # module global — spawning 10^5 clients pays the sys.modules lookup
@@ -198,14 +162,13 @@ class Environment:
         if len(queue) > self._peak_queue:
             self._peak_queue = len(queue)
 
-    def _urgent(self, callback: Callable[[Event], None], value: Any = None, ok: bool = True) -> None:
-        """Call ``callback`` from an urgent zero-delay event carrying
-        ``value``/``ok``: it runs before the normal events at the current
-        time, in scheduling order (keeps causality ordering)."""
+    def _urgent(self, callback: Callable[[Event], None]) -> None:
+        """Call ``callback`` from an urgent zero-delay event: it runs before
+        the normal events at the current time, in scheduling order (keeps
+        causality ordering)."""
         ev = Event(self)
         ev._triggered = True
-        ev._ok = ok
-        ev._value = value
+        ev._value = None
         ev.callbacks.append(callback)
         self._schedule(ev, URGENT, 0.0)
 
@@ -227,6 +190,11 @@ class Environment:
     def run(self) -> None:
         """Fire events in calendar order until the calendar drains.
 
+        Every event is counted, but only an event that something waits on
+        moves the clock and rolls the timeline over: a wake-up whose wait
+        was stopped, or a process end nobody joins, fires inert, so a run
+        ends at the last event that resumed something.
+
         One Python frame per event, with local bindings for the queue and
         the event counter.  ``count`` is flushed back before every timeline
         roll-over — window-close telemetry reads ``events_processed`` — and
@@ -241,15 +209,16 @@ class Environment:
         try:
             while queue:
                 t, _key, event = pop(queue)
-                self._now = t
-                if tl is not None and t >= tl.window_end_ms:
-                    self._event_count = count
-                    tl.advance(t)
                 count += 1
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
                 if callbacks:
+                    self._now = t
+                    if tl is not None and t >= tl.window_end_ms:
+                        # the closing window counts the events before this one
+                        self._event_count = count - 1
+                        tl.advance(t)
                     for cb in callbacks:
                         cb(event)
                 elif not event._ok:

@@ -28,9 +28,9 @@ with the key and calendar-peak update a fresh event would get there.
 
 A process is ended from outside with :meth:`Process.stop`.  The stop lands
 from an urgent event at the current time and cancels the wait the process
-is in *then*: a sleep's wake-up still fires, inert, and advances the clock;
-a queued process leaves the queue, a granted one gives the slot back, and
-a join forgets the process.  Its generator is then closed, so ``finally``
+is in *then*: a sleep's wake-up still fires, inert, counted but without
+moving the clock; a queued process leaves the queue, a granted one gives
+the slot back, and a join forgets the process.  Its generator is then closed, so ``finally``
 blocks run (a hold's ``resource.release()`` among them), and the process
 fires with ``None``.
 

@@ -21,6 +21,10 @@ a JSON-stable form:
 * (one dedicated cell) a benchmark artifact with its volatile sections and
   machine fingerprint stripped, reduced to a SHA-256.
 
+The healthy cells are also replayed with no ``Observability`` at all
+(:func:`replay` with ``obs=None``): their pinned ``result``, apart from the
+timeline summary, must come back, so observing a run never moves it.
+
 Three more runs pin only the registry (``registry_pins.json``): fault
 families that the main fault schedule leaves empty (a partition and RPC
 drops), an elastic pool that breathes, and a checkpointed run resumed with
@@ -61,10 +65,12 @@ VOLATILE_RESULT_KEYS = ("wall_s", "engine_events_per_wall_sec")
 CELLS = {
     "healthy_rw_seed0": ("rw", 0, "healthy"),
     "healthy_rw_seed1": ("rw", 1, "healthy"),
+    "healthy_rw_seed2": ("rw", 2, "healthy"),
     "healthy_ro_seed0": ("ro", 0, "healthy"),
     "healthy_ro_seed1": ("ro", 1, "healthy"),
     "healthy_wi_seed0": ("wi", 0, "healthy"),
     "healthy_wi_seed1": ("wi", 1, "healthy"),
+    "healthy_wi_seed2": ("wi", 2, "healthy"),
     "faults_rw_seed0": ("rw", 0, "faults"),
     "faults_rw_seed1": ("rw", 1, "faults"),
     "faults_wi_seed0": ("wi", 0, "faults"),
@@ -102,23 +108,47 @@ def fault_schedule():
 
 def run_cell(name: str) -> Dict[str, Any]:
     """Execute one matrix cell and reduce it to its comparable form."""
-    from repro.balancers import LunulePolicy
-    from repro.costmodel import CostParams
-    from repro.fs import SimConfig, run_simulation
-    from repro.harness.config import get_scale
-    from repro.harness.experiments import build_workload, make_policy
     from repro.obs import Observability
 
-    kind, seed, flavor = CELLS[name]
-    origami = flavor == "origami"
-    built, trace = build_workload(kind, ORIGAMI_N_OPS if origami else N_OPS, seed)
     obs = Observability(
         metrics=True,
         trace=True,  # in-memory tracer: spans retained, no file
         timeline=True,
         timeline_window_ms=EPOCH_MS / 5.0,
-        audit=origami,
+        audit=CELLS[name][2] == "origami",
     )
+    result_dict = replay(name, obs)
+    span_lines = [_canonical(s.to_dict()) for s in obs.tracer.spans]
+    timeline_rows = obs.timeline.to_rows()
+    payload = {
+        "cell": name,
+        "result": result_dict,
+        "n_spans": len(span_lines),
+        "spans_sha256": _sha256("\n".join(span_lines)),
+        "timeline_meta": obs.timeline.meta(),
+        "n_windows": len(timeline_rows),
+        "timeline_sha256": _sha256("\n".join(_canonical(r) for r in timeline_rows)),
+    }
+    if obs.audit is not None:
+        audit_lines = [_canonical(e) for e in obs.audit.to_dicts()]
+        payload["n_audit_entries"] = len(audit_lines)
+        payload["audit_sha256"] = _sha256("\n".join(audit_lines))
+    payload.update(registry_digests(obs))
+    return payload
+
+
+def replay(name: str, obs) -> Dict[str, Any]:
+    """Run one cell's simulation under ``obs`` (None: no observability) and
+    return ``SimResult.to_dict()`` minus the volatile wall-clock keys."""
+    from repro.balancers import LunulePolicy
+    from repro.costmodel import CostParams
+    from repro.fs import SimConfig, run_simulation
+    from repro.harness.config import get_scale
+    from repro.harness.experiments import build_workload, make_policy
+
+    kind, seed, flavor = CELLS[name]
+    origami = flavor == "origami"
+    built, trace = build_workload(kind, ORIGAMI_N_OPS if origami else N_OPS, seed)
     if origami:
         policy, _ = make_policy("Origami", kind, get_scale("smoke"))
     else:
@@ -139,24 +169,7 @@ def run_cell(name: str) -> Dict[str, Any]:
     result_dict = result.to_dict()
     for key in VOLATILE_RESULT_KEYS:
         result_dict.pop(key, None)
-
-    span_lines = [_canonical(s.to_dict()) for s in obs.tracer.spans]
-    timeline_rows = obs.timeline.to_rows()
-    payload = {
-        "cell": name,
-        "result": result_dict,
-        "n_spans": len(span_lines),
-        "spans_sha256": _sha256("\n".join(span_lines)),
-        "timeline_meta": obs.timeline.meta(),
-        "n_windows": len(timeline_rows),
-        "timeline_sha256": _sha256("\n".join(_canonical(r) for r in timeline_rows)),
-    }
-    if origami:
-        audit_lines = [_canonical(e) for e in obs.audit.to_dicts()]
-        payload["n_audit_entries"] = len(audit_lines)
-        payload["audit_sha256"] = _sha256("\n".join(audit_lines))
-    payload.update(registry_digests(obs))
-    return payload
+    return result_dict
 
 
 def registry_digests(obs) -> Dict[str, Any]:

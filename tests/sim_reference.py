@@ -6,14 +6,15 @@ event :meth:`Resource.request` returns, which it hands back with
 ``release(req)``; a request released while still queued is cancelled.
 The code is the earlier ``repro.sim`` engine, process and resources
 modules, with ``Environment.process`` bound to this module's
-:class:`Process`.
+:class:`Process`, without the ``all_of`` join, and with the current
+kernel's clock rule in :meth:`Environment.run`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 NORMAL = 1
 URGENT = 0
@@ -91,34 +92,6 @@ class Timeout(Event):
             env._peak_queue = len(queue)
 
 
-class AllOf(Event):
-    __slots__ = ("_remaining", "_events")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = events = list(events)
-        self._remaining = len(events)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        on_child = self._on_child
-        for ev in events:
-            if ev._processed:
-                env._urgent(on_child, ev._value, ev._ok)
-            else:
-                ev.callbacks.append(on_child)
-
-    def _on_child(self, done: Event) -> None:
-        if self._triggered:
-            return
-        if not done._ok:
-            self.fail(done._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([ev._value for ev in self._events])
-
-
 class Environment:
     def __init__(self):
         self._now = 0.0
@@ -147,9 +120,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def process(self, generator) -> "Process":
         return Process(self, generator)
 
@@ -176,15 +146,23 @@ class Environment:
         try:
             while queue:
                 t, _key, event = pop(queue)
-                self._now = t
-                if tl is not None and t >= tl.window_end_ms:
-                    self._event_count = count
-                    tl.advance(t)
                 count += 1
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
                 if callbacks:
+                    # the clock rule of the kernel under test: an event that
+                    # no live process waits on (an unjoined process's end,
+                    # an interrupted process's timeout) is counted but does
+                    # not move the clock; the earlier kernel moved it for
+                    # every event.  A process interrupted while it resumes
+                    # leaves its callback on the timeout it then sleeps on,
+                    # and that callback waits for nothing once it has ended
+                    if any(not cb.__self__._triggered for cb in callbacks):
+                        self._now = t
+                        if tl is not None and t >= tl.window_end_ms:
+                            self._event_count = count - 1
+                            tl.advance(t)
                     for cb in callbacks:
                         cb(event)
                 elif not event._ok:

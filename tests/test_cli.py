@@ -162,6 +162,22 @@ def test_simulate_data_dir_checkpoint_resume_roundtrip(tmp_path, capsys):
     assert "resumed from" in out
 
 
+def test_checkpoint_records_the_last_completion(tmp_path, capsys):
+    """The checkpoint's clock is the run's last completion, not the next
+    epoch boundary, so a resumed half starts where the first one ended."""
+    from repro.durability import SimCheckpoint
+
+    ckpt, result = str(tmp_path / "run.ckpt"), tmp_path / "r.json"
+    assert main([
+        "simulate", "Lunule", "rw", "--ops", "1200", "--mds", "3", "--clients", "12",
+        "--seed", "1", "--checkpoint", ckpt, "--json", str(result),
+    ]) == 0
+    capsys.readouterr()
+    now_ms = SimCheckpoint.load(ckpt).now_ms
+    assert now_ms == json.loads(result.read_text())["duration_ms"]
+    assert round(now_ms, 9) == 44.012
+
+
 def test_simulate_resume_rejects_mismatched_config(tmp_path, capsys):
     data_dir = str(tmp_path / "stores")
     ckpt = str(tmp_path / "run.ckpt")
@@ -257,8 +273,11 @@ OUT_OF_RANGE = [
     (["simulate", "Lunule", "rw", "--ops", "500", "--clients", "0"], "--clients"),
     (["simulate", "Lunule", "rw", "--ops", "500", "--epoch-ms", "0"], "--epoch-ms"),
     (["simulate", "Lunule", "rw", "--ops", "500", "--epoch-ms", "nan"], "--epoch-ms"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--epoch-ms", "inf"], "--epoch-ms"),
     (["simulate", "Lunule", "rw", "--ops", "500", "--cache-depth", "-1"], "--cache-depth"),
     (["simulate", "Lunule", "rw", "--ops", "500", "--timeline-window-ms", "0"],
+     "--timeline-window-ms"),
+    (["simulate", "Lunule", "rw", "--ops", "500", "--timeline-window-ms", "inf"],
      "--timeline-window-ms"),
     (["simulate", "Lunule", "rw", "--ops", "500", "--seed", "-1"], "--seed"),
     (["simulate", "Lunule", "rw", "--ops", "-5"], "--ops"),

@@ -365,11 +365,32 @@ def test_durable_restart_warmup_lasts_the_recovery(tmp_path):
     assert server.admit(1.0) == 1.0
 
 
+@pytest.mark.parametrize("crash, end_ms, n_windows", [(True, 124.634, 7), (False, 107.042, 6)])
+def test_a_run_ends_at_its_last_completion(crash, end_ms, n_windows):
+    """A restart long after the replay drains does not stretch the run:
+    the clock, the last epoch and the last timeline window end at the last
+    completion, as in the healthy run."""
+    from repro.obs import Observability
+
+    built, trace = build_workload("rw", 3000, seed=1)
+    obs = Observability(timeline=True, timeline_window_ms=20.0)
+    faults = FaultSchedule([Crash(mds=2, start_ms=30.0, end_ms=5000.0)]) if crash else None
+    config = SimConfig(n_mds=3, n_clients=12, epoch_ms=60.0, seed=1, obs=obs, faults=faults)
+    fs = OrigamiFS(built.tree, trace, LunulePolicy(), config)
+    result = fs.run()
+    assert round(result.duration_ms, 9) == end_ms
+    assert fs.env.now == result.duration_ms
+    assert fs.epochs[-1].duration_ms == pytest.approx(end_ms - 60.0, abs=1e-9)
+    rows = obs.timeline.to_rows()
+    assert len(rows) == n_windows and rows[-1]["end_ms"] == result.duration_ms
+
+
 #: ``SimResult.to_dict()`` digests of a resume captured inside a fixed
-#: warm-up window, as the schedule-side warm-up produced them
+#: warm-up window, as the schedule-side warm-up produced them, with the
+#: checkpoint's clock at the first half's last completion
 RESUME_IN_WARMUP_DIGESTS = {
-    "crash": "82d8d40d0f84849c7f5ba3cf6338798fe0d537666e50fef679fe28b5b755cd1d",
-    "crash+slowdown": "7cb09bb785292b4f36dfb56966504f046a024904808d7b9fd72c4a709e429dc0",
+    "crash": "f5e2f9c00b9b0a9aa0d9709f3c044214392ea90431b3c3948239094be447b115",
+    "crash+slowdown": "fafc7bc5ec8a16be5466664073883bc6dfbf9f925dac6601ea5bf698a3dc453e",
 }
 
 

@@ -93,11 +93,34 @@ def test_fixture_set_is_complete():
     )
 
 
+def test_healthy_matrix_is_complete():
+    """Both workload families run healthy under seeds 0-2, each cell pinned
+    on disk: the matrix the obs-off replay below covers."""
+    for kind in ("rw", "wi"):
+        for seed in (0, 1, 2):
+            cell = f"healthy_{kind}_seed{seed}"
+            assert MATRIX.CELLS.get(cell) == (kind, seed, "healthy"), cell
+            assert (GOLDEN_DIR / f"{cell}.json").exists(), cell
+
+
 @pytest.mark.parametrize("cell", sorted(MATRIX.CELLS))
 def test_cell_matches_pre_optimization_fixture(cell: str):
     fixture = json.loads((GOLDEN_DIR / f"{cell}.json").read_text())
     fresh = MATRIX.run_cell(cell)
     _assert_equal(cell, fixture, fresh)
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(c for c, (_, _, flavor) in MATRIX.CELLS.items() if flavor == "healthy")
+)
+def test_healthy_cell_without_observability(cell: str):
+    """With no Observability at all, a healthy cell gives its pinned
+    result: only the timeline summary, which needs a timeline, is absent."""
+    pinned = json.loads((GOLDEN_DIR / f"{cell}.json").read_text())["result"]
+    assert pinned.pop("timeline") is not None
+    fresh = MATRIX.replay(cell, None)
+    assert fresh.pop("timeline") is None
+    _assert_equal(cell, pinned, fresh)
 
 
 def test_bench_artifact_matches_pre_optimization_fixture():

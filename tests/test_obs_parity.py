@@ -5,12 +5,15 @@ decision reads them, so a fully instrumented run must produce the same
 SimResult as an uninstrumented one — and the disabled path must stay cheap.
 """
 
+import math
+
 import pytest
 
 from repro.balancers import LunulePolicy
 from repro.bench.scenario import DATAPATH
 from repro.costmodel import CostParams
 from repro.fs import SimConfig, run_simulation
+from repro.fs.filesystem import OrigamiFS
 from repro.fs.elastic import AutoscaleSpec, ScaleEvent
 from repro.fs.faults import Crash, FaultSchedule, Slowdown
 from repro.harness.config import get_scale
@@ -152,7 +155,7 @@ PARITY_CASES = {
 }
 
 
-def _observed_run(case, obs, data_dir):
+def _parity_fs(case, obs, data_dir):
     opts = dict(PARITY_CASES[case])
     kind = opts.pop("kind", "rw")
     policy, _ = make_policy(opts.pop("strategy", "Lunule"), kind, get_scale("smoke"))
@@ -164,7 +167,11 @@ def _observed_run(case, obs, data_dir):
         n_mds=n_mds, n_clients=30, epoch_ms=10.0, params=CostParams(cache_depth=2),
         seed=3, obs=obs, **opts,
     )
-    return run_simulation(built.tree, trace, policy, config).to_dict()
+    return OrigamiFS(built.tree, trace, policy, config)
+
+
+def _observed_run(case, obs, data_dir):
+    return _parity_fs(case, obs, data_dir).run().to_dict()
 
 
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
@@ -180,6 +187,18 @@ def test_observation_never_steers_a_run(case, tmp_path):
     assert bare.pop("timeline") is None
     assert observed.pop("timeline") is not None
     assert observed == bare
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_run_ends_at_its_last_completion(case, tmp_path):
+    """The clock, the epochs and the timeline all end at the last
+    completion: no stopped epoch driver or fault timeline drags them on."""
+    obs = Observability(timeline=True, timeline_window_ms=2.0)
+    fs = _parity_fs(case, obs, str(tmp_path / "stores"))
+    end = fs.run().duration_ms
+    assert fs.env.now == end
+    assert math.fsum(e.duration_ms for e in fs.epochs) == pytest.approx(end, abs=1e-9)
+    assert obs.timeline.to_rows()[-1]["end_ms"] == end
 
 
 def _faulted_durable_config(tmp_path, obs, subdir):

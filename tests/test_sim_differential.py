@@ -7,10 +7,11 @@ lands, and closes the generator.  The earlier kernel
 (``tests/sim_reference.py``) allocated a ``Timeout`` per sleep and a
 request event per queueing, a process cancelled a request by releasing it
 in ``finally``, and an ``Interrupt`` that the process does not catch is
-its stop.  Each program below runs on both: the same processes, resources,
-sleeps, holds, joins and stops must give the same trace of (process, step,
-what, time), the same clock, event count and calendar peak, and the same
-totals on every resource.
+its stop.  Both move the clock only for an event something waits on.
+Each program below runs on both: the same processes, resources, sleeps,
+holds, joins and stops must give the same trace of (process, step, what,
+time), the same clock, event count and calendar peak, and the same totals
+on every resource.
 """
 
 from hypothesis import event, example, given, settings
@@ -125,8 +126,6 @@ def run(kernel, program, states=None):
                         yield from kernel.hold(env, resources[r], delay, note)
                     elif kind == "join":
                         value = yield procs[ins[1]]
-                    elif kind == "all_of":
-                        value = yield env.all_of([procs[k] for k in ins[1]])
                     else:
                         interrupt(pid, step, ins[1])
                     trace.append((pid, step, kind, env.now, value))
@@ -166,7 +165,6 @@ def programs(draw):
         st.tuples(st.just("sleep"), DELAYS | st.just(-1.0)),
         st.tuples(st.just("hold"), st.integers(0, n_resources - 1), DELAYS, st.none() | proc),
         st.tuples(st.just("join"), proc),
-        st.tuples(st.just("all_of"), st.lists(proc, max_size=3)),
         st.tuples(st.just("interrupt"), proc),
     )
     bodies = [draw(st.lists(instruction, min_size=1, max_size=8)) for _ in range(n_procs)]

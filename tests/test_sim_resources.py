@@ -136,8 +136,9 @@ def test_interrupt_in_each_wait_state_leaves_the_resource_free(state):
     assert not victim.is_alive and victim.value is None
     assert (res.in_use, res.queue_len) == (0, 0)
     assert res.total_grants == (1 if state == "queued" else 2)
-    # an asleep victim's stopped hold still fires, inert, at 2 + 5
-    assert env.now == (7.0 if state == "asleep" else 2.0)
+    # an asleep victim's stopped hold still fires, inert, at 2 + 5: the
+    # clock ends at the stop or at the first user's release, if later
+    assert env.now == (3.0 if state == "asleep" else 2.0)
     assert env.events_processed == STOP_EVENTS[state]
 
 
@@ -170,7 +171,7 @@ def test_interrupt_while_holding_releases_in_finally():
     env.run()
     assert seen == [("stopped", 3.0, 1), ("granted", 3.0)]
     assert (res.in_use, res.queue_len, res.total_wait_time) == (0, 0, 3.0)
-    assert env.now == 10.0  # the stopped hold still fired, inert
+    assert env.now == 3.0  # the stopped hold's wake-up at 10 fired inert
 
 
 def test_stop_that_a_finally_refuses_fails_the_process():

@@ -6,8 +6,11 @@ growth, latency sampling, trailing partials — are pinned independently of
 the simulator.  End-to-end exactness lives in ``test_obs_parity.py``.
 """
 
+import math
+
 import pytest
 
+from repro.fs import SimConfig
 from repro.obs import NULL_TIMELINE, TimelineCollector
 from repro.cluster.imbalance import imbalance_factor
 from repro.obs.timeseries import PER_MDS_COLUMNS
@@ -22,6 +25,16 @@ def test_constructor_validation():
         TimelineCollector(max_latency_samples=0)
     with pytest.raises(ValueError):
         TimelineCollector(initial_windows=0)
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf])
+def test_epoch_and_window_lengths_must_be_finite_and_positive(length):
+    """An infinite epoch or window would close windows toward an infinite
+    clock, or write NaN and Infinity rows; a NaN one compares false."""
+    with pytest.raises(ValueError, match="epoch_ms must be finite and positive"):
+        SimConfig(epoch_ms=length)
+    with pytest.raises(ValueError, match="window_ms must be finite and positive"):
+        TimelineCollector(window_ms=length)
 
 
 def test_unbound_collector_windows_ops_by_virtual_time():
